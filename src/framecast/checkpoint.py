@@ -1,27 +1,32 @@
-"""Parameter checkpoints: text header plus raw little-endian payload.
+"""Parameter checkpoints: named arrays plus scalar metadata.
 
-Header layout: the magic line ``CKPT1``, zero or more ``meta key value``
-lines, one ``param name dtype dim0,dim1,...`` line per array (sorted by
-name, so the ordering is deterministic), then ``---`` and the payloads
-concatenated in header order.
+A checkpoint is a container (see ``container``) with the magic ``CKPT1``,
+zero or more ``meta key value`` lines (sorted by key), one ``param name
+dtype dim0,dim1,...`` line per array (sorted by name, so the ordering is
+deterministic; ``scalar`` for 0-d arrays), and the arrays concatenated in
+header order. A model checkpoint stores its config's fields plus ``step``
+as meta; ``load_model`` and ``restore`` read one back strictly.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import math
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .autodiff import Tensor
+from .container import Container, ContainerError
 from .errors import FramecastError
 
-MAGIC = b"CKPT1\n"
-_HEADER_END = b"---\n"
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 
-class CheckpointError(FramecastError):
-    """Malformed checkpoint file."""
+class CheckpointError(ContainerError):
+    """Malformed checkpoint file, or one that does not match the model."""
+
+
+_CKPT = Container("CKPT1", CheckpointError)
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
@@ -29,22 +34,13 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
     arrays = {}
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        if arr.dtype == np.float32:
-            arrays[name] = np.ascontiguousarray(arr, dtype="<f4")
-        else:
-            arrays[name] = np.ascontiguousarray(arr, dtype="<f8")
+        arrays[name] = np.ascontiguousarray(arr, dtype="<f4" if arr.dtype == np.float32 else "<f8")
 
-    lines = []
-    for key, value in sorted((meta or {}).items()):
-        lines.append(f"meta {key} {value}")
-    for name in sorted(arrays):
-        arr = arrays[name]
-        code = "f4" if arr.dtype == np.dtype("<f4") else "f8"
+    header = [("meta", f"{key} {value}") for key, value in sorted((meta or {}).items())]
+    for name, arr in sorted(arrays.items()):
         dims = ",".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        lines.append(f"param {name} {code} {dims}")
-    header = "\n".join(lines).encode("ascii") + b"\n" if lines else b""
-    payload = b"".join(arrays[name].tobytes() for name in sorted(arrays))
-    Path(path).write_bytes(MAGIC + header + _HEADER_END + payload)
+        header.append(("param", f"{name} {arr.dtype.str[1:]} {dims}"))
+    _CKPT.write(path, header, b"".join(arr.tobytes() for _, arr in sorted(arrays.items())))
 
 
 def _parse_meta_value(text: str):
@@ -56,43 +52,78 @@ def _parse_meta_value(text: str):
     return text
 
 
+def _parse_dims(dims: str) -> tuple[int, ...]:
+    if dims == "scalar":
+        return ()
+    parts = dims.split(",")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise CheckpointError(f"malformed dims {dims!r}")
+    return tuple(int(p) for p in parts)
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (arrays, meta) from a checkpoint file."""
-    blob = Path(path).read_bytes()
-    if not blob.startswith(MAGIC):
-        raise CheckpointError("missing CKPT1 magic")
-    end = blob.find(_HEADER_END)
-    if end < 0:
-        raise CheckpointError("header terminator not found")
-
+    header, payload = _CKPT.read(path)
     meta: dict = {}
-    entries: list[tuple[str, str, tuple[int, ...]]] = []
-    for raw in blob[len(MAGIC) : end].decode("ascii", errors="replace").splitlines():
-        parts = raw.split()
-        if not parts:
-            continue
-        if parts[0] == "meta" and len(parts) >= 3:
-            meta[parts[1]] = _parse_meta_value(" ".join(parts[2:]))
-        elif parts[0] == "param" and len(parts) == 4:
-            name, code, dims = parts[1], parts[2], parts[3]
+    entries: dict[str, tuple[np.dtype, tuple[int, ...]]] = {}
+    for kind, value in header:
+        parts = value.split()
+        if kind == "meta" and len(parts) >= 2 and parts[0] not in meta:
+            meta[parts[0]] = _parse_meta_value(" ".join(parts[1:]))
+        elif kind == "param" and len(parts) == 3 and parts[0] not in entries:
+            name, code, dims = parts
             if code not in _DTYPES:
                 raise CheckpointError(f"unknown dtype code {code!r}")
-            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-            entries.append((name, code, shape))
+            entries[name] = (np.dtype(_DTYPES[code]), _parse_dims(dims))
         else:
-            raise CheckpointError(f"malformed header line: {raw!r}")
+            raise CheckpointError(f"malformed or repeated header line: {kind} {value}")
 
+    counts = {name: math.prod(shape) for name, (_, shape) in entries.items()}
+    _CKPT.expect(payload, sum(counts[name] * dtype.itemsize for name, (dtype, _) in entries.items()))
     arrays: dict[str, np.ndarray] = {}
-    offset = end + len(_HEADER_END)
-    for name, code, shape in entries:
-        dtype = np.dtype(_DTYPES[code])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) < nbytes:
-            raise CheckpointError(f"payload truncated at parameter {name!r}")
-        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError("trailing bytes after final parameter")
+    offset = 0
+    for name, (dtype, shape) in entries.items():
+        arrays[name] = np.frombuffer(payload, dtype, counts[name], offset).reshape(shape).copy()
+        offset += counts[name] * dtype.itemsize
     return arrays, meta
+
+
+# ---- model checkpoints -----------------------------------------------------
+
+
+def save_model(path, config, params: dict, step: int) -> None:
+    """Checkpoint a model's params with every field of its config and step as meta."""
+    save_checkpoint(path, params, meta={**asdict(config), "step": step})
+
+
+def load_model(path, config_type) -> tuple[object, dict[str, np.ndarray], int]:
+    """Read a model checkpoint back as (config, arrays, step).
+
+    The meta must hold exactly config_type's fields and step, each parsing
+    as its field's type; pass the arrays to ``restore`` once the model is built.
+    """
+    arrays, meta = load_checkpoint(path)
+    kinds = {f.name: type(f.default) for f in fields(config_type)} | {"step": int}
+    _check_names("meta key", kinds, meta)
+    try:
+        values = {key: kind(str(meta[key])) for key, kind in kinds.items()}
+        step = values.pop("step")
+        return config_type(**values), arrays, step
+    except (ValueError, FramecastError) as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+
+
+def restore(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Load arrays into a model's parameters; names and shapes must match exactly."""
+    _check_names("parameter", params, arrays)
+    for name, tensor in params.items():
+        if arrays[name].shape != tensor.data.shape:
+            raise CheckpointError(f"parameter {name!r} has shape {arrays[name].shape}, "
+                                  f"the model expects {tensor.data.shape}")
+        tensor.data = arrays[name].astype(tensor.data.dtype, copy=False)
+
+
+def _check_names(what: str, expected, found) -> None:
+    missing, extra = sorted(set(expected) - set(found)), sorted(set(found) - set(expected))
+    if missing or extra:
+        raise CheckpointError(f"{what} names differ from the model: missing {missing}, extra {extra}")

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .advection import AdvectionParams, generate_advection_event
-from .checkpoint import CheckpointError
 from .config import RunConfig, load_config
+from .container import ContainerError
 from .dynamics import (
     DynamicsModel,
     DynamicsTrainConfig,
@@ -28,7 +28,7 @@ from .dynamics import (
     train_dynamics,
 )
 from .errors import ConfigError, DependencyError, HorizonError
-from .eventfile import EventFileError, read_event, read_events, write_event, write_manifest
+from .eventfile import read_event, read_events, write_event, write_manifest
 from .fields import EventSequence, denormalize, filter_events, normalize
 from .tokenizer import (
     Tokenizer,
@@ -194,7 +194,8 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     model, log = train_dynamics(model, tokens, train_cfg, start_step=start_step)
     save_dynamics(model, ckpt, step=start_step + len(log))
     write_loss_log(report_dir / f"dynamics_{mode}_loss.csv", log, header=("step", "lr", "loss"))
-    print(f"dynamics ({mode}) trained for {len(log)} steps (final loss {log[-1][2]:.6g}) -> {ckpt}")
+    final = log[-1][2] if log else float("nan")
+    print(f"dynamics ({mode}) trained for {len(log)} steps (final loss {final:.6g}) -> {ckpt}")
     return 0
 
 
@@ -258,6 +259,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     _, _, report_dir = _paths(cfg, args.out)
     report_dir.mkdir(parents=True, exist_ok=True)
     obs_events = read_events(args.obs)
+    if not obs_events:
+        raise ConfigError(f"observation manifest {args.obs} lists no events")
     taus = tuple(float(t) for t in args.taus.split(","))
 
     per_seed_reports = []
@@ -265,8 +268,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         pred_events = read_events(pred_manifest)
         if len(pred_events) != len(obs_events):
             raise ConfigError(
-                f"manifest length mismatch: {len(pred_events)} predictions vs "
-                f"{len(obs_events)} observations"
+                f"manifest length mismatch: {len(pred_events)} predictions in {pred_manifest} "
+                f"vs {len(obs_events)} observations in {args.obs}"
             )
         seed_label = str(run_idx)
         pred_targets, obs_targets = [], []
@@ -279,14 +282,10 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             pred_targets.append(pred.target.astype(np.float64))
             obs_targets.append(obs.target.astype(np.float64))
 
-        horizon = obs_targets[0].shape[0]
+        horizon, _, width = obs_targets[0].shape
         # pool events per lead: (horizon, n_events * H, W)
-        pooled_pred = np.concatenate(
-            [p[:, None] for p in pred_targets], axis=1
-        ).reshape(horizon, -1, obs_targets[0].shape[2])
-        pooled_obs = np.concatenate(
-            [o[:, None] for o in obs_targets], axis=1
-        ).reshape(horizon, -1, obs_targets[0].shape[2])
+        pooled_pred = np.stack(pred_targets, axis=1).reshape(horizon, -1, width)
+        pooled_obs = np.stack(obs_targets, axis=1).reshape(horizon, -1, width)
 
         report = stratify_by_lead_time(
             pooled_pred, pooled_obs, cfg.step_minutes, taus=taus, seed=seed_label
@@ -300,22 +299,14 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             )
         )
         masks = _synthetic_catchments(cfg.grid_h, cfg.grid_w)
-        stacked_pred = np.stack(pred_targets)  # (n, horizon, H, W)
-        stacked_obs = np.stack(obs_targets)
-        catchment_pred = stacked_pred.transpose(1, 0, 2, 3).reshape(
-            horizon, -1, stacked_pred.shape[3]
-        )
-        catchment_obs = stacked_obs.transpose(1, 0, 2, 3).reshape(
-            horizon, -1, stacked_obs.shape[3]
-        )
         tiled_masks = {
             name: np.tile(mask, (len(pred_targets), 1))
             for name, mask in masks.items()
         }
         report.extend(
             evaluate_catchments(
-                catchment_pred,
-                catchment_obs,
+                pooled_pred,
+                pooled_obs,
                 tiled_masks,
                 taus=taus,
                 step_minutes=cfg.step_minutes,
@@ -459,7 +450,7 @@ def main(argv=None) -> int:
     except (ConfigError, HorizonError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EventFileError, CheckpointError, OSError) as exc:
+    except (ContainerError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
 

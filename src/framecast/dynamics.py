@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, cross_entropy_logits, layer_norm, parameter, softmax
+from .checkpoint import load_model, restore, save_model
 from .errors import ConfigError, HorizonError
 from .optim import Adam, warmup_lr
 
@@ -227,10 +228,6 @@ class DynamicsModel:
         return logits.reshape(logits.shape[1:]) if single else logits
 
 
-def init_dynamics_model(config: DynamicsConfig, seed: int = 0, dtype=np.float64) -> DynamicsModel:
-    return DynamicsModel(config, seed=seed, dtype=dtype)
-
-
 def dynamics_loss(model: DynamicsModel, batch: np.ndarray) -> Tensor:
     """Teacher-forced cross entropy over every predictable position.
 
@@ -388,41 +385,14 @@ def train_dynamics(
 
 
 def save_dynamics(model: DynamicsModel, path, step: int = 0) -> None:
-    from .checkpoint import save_checkpoint
-
-    cfg = model.config
-    meta = {
-        "n_layers": cfg.n_layers,
-        "n_heads": cfg.n_heads,
-        "embed_dim": cfg.embed_dim,
-        "vocab_size": cfg.vocab_size,
-        "tokens_per_frame": cfg.tokens_per_frame,
-        "max_frames": cfg.max_frames,
-        "mode": cfg.mode,
-        "mlp_ratio": cfg.mlp_ratio,
-        "step": step,
-    }
-    save_checkpoint(path, model.params, meta=meta)
+    save_model(path, model.config, model.params, step)
 
 
 def load_dynamics(path) -> tuple[DynamicsModel, int]:
-    from .checkpoint import load_checkpoint
-
-    arrays, meta = load_checkpoint(path)
-    config = DynamicsConfig(
-        n_layers=int(meta["n_layers"]),
-        n_heads=int(meta["n_heads"]),
-        embed_dim=int(meta["embed_dim"]),
-        vocab_size=int(meta["vocab_size"]),
-        tokens_per_frame=int(meta["tokens_per_frame"]),
-        max_frames=int(meta["max_frames"]),
-        mode=str(meta["mode"]),
-        mlp_ratio=int(meta["mlp_ratio"]),
-    )
+    config, arrays, step = load_model(path, DynamicsConfig)
     model = DynamicsModel(config, seed=0)
-    for name, tensor in model.params.items():
-        tensor.data = arrays[name].astype(tensor.data.dtype)
-    return model, int(meta.get("step", 0))
+    restore(model.params, arrays)
+    return model, step
 
 
 def benchmark_decode(

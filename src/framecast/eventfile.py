@@ -1,10 +1,10 @@
 """On-disk event container (.evt) and dataset manifests.
 
-Layout of an .evt file: the magic line ``EVT1``, one ``key value`` header
-line per field (height, width, n_frames, context_len, step_minutes,
-data_max, seed), a ``---`` terminator line, then the frames as raw
-little-endian float32 in time-major order. Floats in the header are written
-with repr() so the round trip is exact.
+An .evt file is a container (see ``container``) with the magic ``EVT1``,
+one header line per field (height, width, n_frames, context_len,
+step_minutes, data_max, seed; ``none`` for an absent data_max or seed), and
+the frames as little-endian float32 in time-major order. Floats are written
+with their shortest round-trip repr, so reading back is exact.
 """
 
 from __future__ import annotations
@@ -13,17 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FramecastError
+from .container import Container, ContainerError
 from .fields import EventSequence
 
-MAGIC = b"EVT1\n"
-_HEADER_END = b"---\n"
-_HEADER_KEYS = ("height", "width", "n_frames", "context_len", "step_minutes", "data_max", "seed")
-# header is tiny; anything past this is a malformed file, not a header
-_MAX_HEADER_BYTES = 4096
 
-
-class EventFileError(FramecastError):
+class EventFileError(ContainerError):
     """Base class for .evt parse failures."""
 
 
@@ -39,93 +33,49 @@ class DimensionMismatchError(EventFileError):
     """Header dimensions are inconsistent with each other or the payload."""
 
 
-def _format_optional(value) -> str:
-    return "none" if value is None else repr(value)
+def _optional(parse):
+    return lambda text: None if text == "none" else parse(text)
+
+
+def _format(value) -> str:
+    return "none" if value is None else str(value)
+
+
+_EVT = Container("EVT1", CorruptHeaderError, TruncatedPayloadError, DimensionMismatchError)
+# header keys in file order; each names an EventSequence attribute or property
+_HEADER = {
+    "height": int,
+    "width": int,
+    "n_frames": int,
+    "context_len": int,
+    "step_minutes": int,
+    "data_max": _optional(float),
+    "seed": _optional(int),
+}
 
 
 def write_event(event: EventSequence, path) -> None:
     """Write an event to path; read_event() restores it bit for bit."""
-    lines = [
-        f"height {event.height}",
-        f"width {event.width}",
-        f"n_frames {event.n_frames}",
-        f"context_len {event.context_len}",
-        f"step_minutes {event.step_minutes}",
-        f"data_max {_format_optional(event.data_max)}",
-        f"seed {_format_optional(event.seed)}",
-    ]
-    header = "\n".join(lines).encode("ascii") + b"\n"
-    payload = np.ascontiguousarray(event.frames, dtype="<f4").tobytes()
-    Path(path).write_bytes(MAGIC + header + _HEADER_END + payload)
-
-
-def _parse_header(blob: bytes) -> tuple[dict, int]:
-    if not blob.startswith(MAGIC):
-        raise CorruptHeaderError("missing EVT1 magic")
-    end = blob.find(_HEADER_END, 0, _MAX_HEADER_BYTES)
-    if end < 0:
-        raise CorruptHeaderError("header terminator not found")
-    fields = {}
-    for raw in blob[len(MAGIC) : end].decode("ascii", errors="replace").splitlines():
-        parts = raw.split(None, 1)
-        if len(parts) != 2:
-            raise CorruptHeaderError(f"malformed header line: {raw!r}")
-        fields[parts[0]] = parts[1].strip()
-    missing = [k for k in _HEADER_KEYS if k not in fields]
-    if missing:
-        raise CorruptHeaderError(f"header missing keys: {missing}")
-    return fields, end + len(_HEADER_END)
-
-
-def _parse_int(fields, key) -> int:
-    try:
-        return int(fields[key])
-    except ValueError as exc:
-        raise CorruptHeaderError(f"header key {key} is not an integer: {fields[key]!r}") from exc
+    header = [(key, _format(getattr(event, key))) for key in _HEADER]
+    _EVT.write(path, header, np.ascontiguousarray(event.frames, dtype="<f4").tobytes())
 
 
 def read_event(path) -> EventSequence:
     """Parse an .evt file, raising a distinct error per failure mode."""
-    blob = Path(path).read_bytes()
-    fields, offset = _parse_header(blob)
-
-    height = _parse_int(fields, "height")
-    width = _parse_int(fields, "width")
-    n_frames = _parse_int(fields, "n_frames")
-    context_len = _parse_int(fields, "context_len")
-    step_minutes = _parse_int(fields, "step_minutes")
-    if height < 1 or width < 1 or n_frames < 2:
+    header, payload = _EVT.read(path)
+    fields = _EVT.fields(header, _HEADER)
+    n_frames, height, width = fields.pop("n_frames"), fields.pop("height"), fields.pop("width")
+    # 1 <= context_len < n_frames also bounds n_frames >= 2
+    if height < 1 or width < 1 or not 1 <= fields["context_len"] < n_frames:
         raise DimensionMismatchError(
-            f"invalid dimensions: {n_frames} frames of {height}x{width}"
+            f"invalid dimensions: {n_frames} frames of {height}x{width} "
+            f"with context_len {fields['context_len']}"
         )
-    if not 1 <= context_len < n_frames:
-        raise DimensionMismatchError(
-            f"context_len {context_len} violates 1 <= context_len < n_frames ({n_frames})"
-        )
-
-    data_max = None if fields["data_max"] == "none" else float(fields["data_max"])
-    seed = None if fields["seed"] == "none" else int(fields["seed"])
-
-    expected = n_frames * height * width * 4
-    payload = blob[offset:]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise DimensionMismatchError(
-            f"payload holds {len(payload)} bytes, expected exactly {expected}"
-        )
+    _EVT.expect(payload, n_frames * height * width * 4)
     frames = np.frombuffer(payload, dtype="<f4").reshape(n_frames, height, width)
 
     try:
-        return EventSequence(
-            frames=frames,
-            context_len=context_len,
-            step_minutes=step_minutes,
-            data_max=data_max,
-            seed=seed,
-        )
+        return EventSequence(frames, **fields)
     except ValueError as exc:
         raise EventFileError(f"event payload is invalid: {exc}") from exc
 

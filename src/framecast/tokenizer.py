@@ -17,13 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, parameter
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import FramecastError
+from .checkpoint import load_model, restore, save_model
+from .container import Container, ContainerError
 from .fields import EventSequence, denormalize, normalize
 from .optim import Adam, warmup_lr
-
-TOK_MAGIC = b"TOK1\n"
-_TOK_HEADER_END = b"---\n"
 
 
 @dataclass(frozen=True)
@@ -267,30 +264,14 @@ class Tokenizer:
     # ---- persistence ---------------------------------------------------------
 
     def save(self, path, step: int = 0) -> None:
-        meta = {
-            "patch_size": self.config.patch_size,
-            "n_codes": self.config.n_codes,
-            "latent_dim": self.config.latent_dim,
-            "hidden_dim": self.config.hidden_dim,
-            "beta": self.config.beta,
-            "step": step,
-        }
-        save_checkpoint(path, self.trainable(), meta=meta)
+        save_model(path, self.config, self.trainable(), step)
 
     @classmethod
     def load(cls, path) -> tuple["Tokenizer", int]:
-        arrays, meta = load_checkpoint(path)
-        config = TokenizerConfig(
-            patch_size=int(meta["patch_size"]),
-            n_codes=int(meta["n_codes"]),
-            latent_dim=int(meta["latent_dim"]),
-            hidden_dim=int(meta["hidden_dim"]),
-            beta=float(meta["beta"]),
-        )
+        config, arrays, step = load_model(path, TokenizerConfig)
         tok = cls(config, seed=0)
-        for name, tensor in tok.trainable().items():
-            tensor.data = arrays[name].astype(tensor.data.dtype)
-        return tok, int(meta.get("step", 0))
+        restore(tok.trainable(), arrays)
+        return tok, step
 
 
 @dataclass(frozen=True)
@@ -371,6 +352,14 @@ def write_loss_log(path, rows, header) -> None:
 # ---- .tok container ------------------------------------------------------
 
 
+class TokenFileError(ContainerError):
+    """Malformed .tok file."""
+
+
+_TOK = Container("TOK1", TokenFileError)
+_TOK_HEADER = {"n_frames": int, "h_lat": int, "w_lat": int, "n_codes": int}
+
+
 def write_tokens(path, indices: np.ndarray, n_codes: int) -> None:
     """Store token indices (T, H', W') as uint16 (valid while n_codes <= 65536)."""
     indices = np.ascontiguousarray(indices, dtype=np.int64)
@@ -380,31 +369,20 @@ def write_tokens(path, indices: np.ndarray, n_codes: int) -> None:
         raise ValueError("uint16 payload cannot address more than 65536 codes")
     if indices.size and (indices.min() < 0 or indices.max() >= n_codes):
         raise ValueError("token index out of range")
-    t, hp, wp = indices.shape
-    header = f"n_frames {t}\nh_lat {hp}\nw_lat {wp}\nn_codes {n_codes}\n".encode("ascii")
-    payload = indices.astype("<u2").tobytes()
-    Path(path).write_bytes(TOK_MAGIC + header + _TOK_HEADER_END + payload)
+    header = zip(_TOK_HEADER, (*indices.shape, n_codes))
+    _TOK.write(path, header, indices.astype("<u2").tobytes())
 
 
 def read_tokens(path) -> tuple[np.ndarray, int]:
     """Read back (indices (T, H', W') int32, n_codes)."""
-    blob = Path(path).read_bytes()
-    if not blob.startswith(TOK_MAGIC):
-        raise FramecastError("missing TOK1 magic")
-    end = blob.find(_TOK_HEADER_END)
-    if end < 0:
-        raise FramecastError("token header terminator not found")
-    fields = dict(
-        line.split(None, 1)
-        for line in blob[len(TOK_MAGIC) : end].decode("ascii").splitlines()
-    )
-    t, hp, wp = int(fields["n_frames"]), int(fields["h_lat"]), int(fields["w_lat"])
-    n_codes = int(fields["n_codes"])
-    expected = t * hp * wp * 2
-    payload = blob[end + len(_TOK_HEADER_END) :]
-    if len(payload) != expected:
-        raise FramecastError(f"token payload holds {len(payload)} bytes, expected {expected}")
+    header, payload = _TOK.read(path)
+    t, hp, wp, n_codes = _TOK.fields(header, _TOK_HEADER).values()
+    if min(t, hp, wp, n_codes) < 0:
+        raise TokenFileError(f"negative token header value: {t}, {hp}, {wp}, {n_codes}")
+    _TOK.expect(payload, t * hp * wp * 2)
     idx = np.frombuffer(payload, dtype="<u2").reshape(t, hp, wp).astype(np.int32)
+    if idx.size and idx.max() >= n_codes:
+        raise TokenFileError(f"token index {idx.max()} out of range [0, {n_codes})")
     return idx, n_codes
 
 

@@ -1,13 +1,17 @@
 """End-to-end checks of the command-line pipeline on a miniature setup."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
+from framecast.checkpoint import load_checkpoint, save_checkpoint
 from framecast.cli import main
 from framecast.config import RunConfig, write_config
+from framecast.dynamics import DynamicsModel, save_dynamics
 from framecast.eventfile import read_event, read_manifest
+from framecast.tokenizer import Tokenizer
 from framecast.verification import MetricReport
 
 TINY = RunConfig(
@@ -99,6 +103,16 @@ class TestTrainingCommands:
         with (out / "reports" / "dynamics_frame_loss.csv").open() as f:
             rows = list(csv.reader(f))
         assert len(rows) - 1 == TINY.dynamics_steps
+
+    def test_zero_dynamics_steps(self, tmp_path):
+        cfg_path = tmp_path / "zero.cfg"
+        write_config(TINY.with_overrides(tokenizer_steps=0, dynamics_steps=0), cfg_path)
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        assert run(cfg_path, out, "train-tokenizer") == 0
+        assert run(cfg_path, out, "train-dynamics") == 0
+        text = (out / "reports" / "dynamics_frame_loss.csv").read_text()
+        assert text.splitlines() == ["step,lr,loss"]
 
     def test_resume_continues_step_counter(self, workspace):
         tmp_path, cfg_path = workspace
@@ -215,6 +229,14 @@ class TestForecastAndEvaluate:
         assert run(cfg_path, out, "evaluate", "--pred", str(truncated),
                    "--obs", str(data_manifest)) == 2
 
+    def test_evaluate_empty_manifests(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data", "--n-events", "0")
+        manifest = out / "data" / "manifest.txt"
+        assert run(cfg_path, out, "evaluate", "--pred", str(manifest), "--obs", str(manifest)) == 2
+        assert str(manifest) in capsys.readouterr().err
+
     def test_benchmark_report(self, trained):
         tmp_path, cfg_path, out = trained
         assert run(cfg_path, out, "benchmark", "--reps", "3") == 0
@@ -237,6 +259,50 @@ class TestForecastAndEvaluate:
         run(cfg_path, out, "train-tokenizer")
         run(cfg_path, out, "train-dynamics")  # frame only
         assert run(cfg_path, out, "benchmark") == 3
+
+
+class TestMismatchedCheckpoint:
+    """A dynamics checkpoint that does not fit the model is an I/O error (exit 4)."""
+
+    @pytest.fixture()
+    def untrained(self, workspace):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        ckpt = out / "checkpoints"
+        ckpt.mkdir()
+        Tokenizer(TINY.tokenizer_config(), seed=1).save(ckpt / "tokenizer.ckpt")
+        save_dynamics(DynamicsModel(TINY.dynamics_config("frame"), seed=1), ckpt / "dynamics_frame.ckpt")
+        event = read_manifest(out / "data" / "manifest.txt")[0]
+        return cfg_path, out, ckpt / "dynamics_frame.ckpt", event
+
+    def test_intact_checkpoint_forecasts(self, untrained):
+        cfg_path, out, _, event = untrained
+        assert run(cfg_path, out, "forecast", "--event", str(event)) == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays, meta: arrays.update({"head.w": np.zeros((3, 3)), "extra": np.ones(2)}),
+            lambda arrays, meta: arrays.pop("head.w"),
+            lambda arrays, meta: meta.pop("mode"),
+        ],
+        ids=["shape-and-extra", "missing-param", "missing-mode"],
+    )
+    def test_mismatched_entries(self, untrained, capsys, edit):
+        cfg_path, out, path, event = untrained
+        arrays, meta = load_checkpoint(path)
+        edit(arrays, meta)
+        save_checkpoint(path, arrays, meta)
+        assert run(cfg_path, out, "forecast", "--event", str(event)) == 4
+        assert capsys.readouterr().err.startswith("I/O error")
+
+    @pytest.mark.parametrize("dims", [b"16,x", b"-16,32"])
+    def test_malformed_dims(self, untrained, capsys, dims):
+        cfg_path, out, path, event = untrained
+        path.write_bytes(re.sub(rb"(param head.w f8 )[0-9,]+", rb"\g<1>" + dims, path.read_bytes()))
+        assert run(cfg_path, out, "forecast", "--event", str(event)) == 4
+        assert capsys.readouterr().err.startswith("I/O error")
 
 
 class TestExitCodes:

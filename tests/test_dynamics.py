@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from framecast.autodiff import Tensor
+from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from framecast.dynamics import (
     DynamicsConfig,
     DynamicsModel,
@@ -235,6 +238,51 @@ class TestLossAndTraining:
         assert back.config == model.config
         for name in model.params:
             assert np.array_equal(back.params[name].data, model.params[name].data)
+
+    def test_twelve_layer_round_trip(self, tmp_path):
+        model = tiny_model(seed=7, n_layers=12)
+        path = tmp_path / "deep.ckpt"
+        save_dynamics(model, path, step=1)
+        assert path.read_bytes().index(b"\n---\n") > 4096
+        back, _ = load_dynamics(path)
+        assert back.config == model.config
+        for name in model.params:
+            assert np.array_equal(back.params[name].data, model.params[name].data)
+
+
+class TestStrictLoad:
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "dyn.ckpt"
+        save_dynamics(tiny_model(seed=3), path, step=2)
+        return path
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays, meta: arrays.update({"head.w": np.zeros((3, 3)), "extra": np.ones(2)}),
+            lambda arrays, meta: arrays.pop("head.w"),
+            lambda arrays, meta: meta.pop("mode"),
+            lambda arrays, meta: meta.pop("step"),
+            lambda arrays, meta: meta.update(unknown=1),
+            lambda arrays, meta: meta.update(n_layers=1.5),
+            lambda arrays, meta: meta.update(n_heads=3),
+        ],
+        ids=["shape-and-extra", "missing-param", "missing-mode", "missing-step",
+             "extra-meta", "meta-type", "invalid-config"],
+    )
+    def test_mismatch_raises(self, path, edit):
+        arrays, meta = load_checkpoint(path)
+        edit(arrays, meta)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError):
+            load_dynamics(path)
+
+    @pytest.mark.parametrize("dims", [b"16,x", b"-16,16"])
+    def test_malformed_dims(self, path, dims):
+        path.write_bytes(re.sub(rb"(param head.w f8 )[0-9,]+", rb"\g<1>" + dims, path.read_bytes()))
+        with pytest.raises(CheckpointError):
+            load_dynamics(path)
 
 
 class TestDecode:

@@ -41,6 +41,14 @@ class TestRoundTrip:
         back = read_event(path)
         assert back.data_max is None and back.seed is None
 
+    def test_numpy_scalar_metadata(self, tmp_path):
+        ev = EventSequence(np.ones((2, 2, 2), dtype=np.float32), 1, data_max=np.float64(50.0),
+                           seed=np.int64(3))
+        path = tmp_path / "n.evt"
+        write_event(ev, path)
+        back = read_event(path)
+        assert (back.data_max, back.seed) == (50.0, 3)
+
     def test_random_events_property(self, tmp_path):
         rng = np.random.default_rng(123)
         for i in range(25):

@@ -3,6 +3,7 @@ import pytest
 
 from framecast.autodiff import Tensor
 from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from framecast.container import MAX_HEADER_BYTES
 from framecast.optim import Adam, warmup_lr
 
 
@@ -119,3 +120,34 @@ class TestCheckpoint:
         path.write_bytes(b"whatever")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [b"2,x", b"-2,3", b"2,,3", b"2.0,3"])
+    def test_malformed_dims(self, tmp_path, dims):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.ones((2, 3))})
+        path.write_bytes(path.read_bytes().replace(b"f8 2,3", b"f8 " + dims))
+        with pytest.raises(CheckpointError, match="dims"):
+            load_checkpoint(path)
+
+    def test_repeated_name(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.ones(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"param a f8 2\n", b"param a f8 2\n" * 2) + blob[-16:])
+        with pytest.raises(CheckpointError, match="repeated"):
+            load_checkpoint(path)
+
+    def test_header_bound(self, tmp_path):
+        # magic, "meta note <value>" and terminator add 21 bytes to the value
+        path = tmp_path / "edge.ckpt"
+        save_checkpoint(path, {}, meta={"note": "x" * (MAX_HEADER_BYTES - 21)})
+        assert len(path.read_bytes()) == MAX_HEADER_BYTES
+        assert load_checkpoint(path)[1]["note"] == "x" * (MAX_HEADER_BYTES - 21)
+
+        over = tmp_path / "over.ckpt"
+        with pytest.raises(CheckpointError, match="exceeds"):
+            save_checkpoint(over, {}, meta={"note": "x" * (MAX_HEADER_BYTES - 20)})
+        assert not over.exists()
+        over.write_bytes(path.read_bytes().replace(b"meta note ", b"meta note x"))
+        with pytest.raises(CheckpointError, match="terminator"):
+            load_checkpoint(over)

@@ -3,8 +3,10 @@ import pytest
 
 from framecast.advection import AdvectionParams, generate_advection_event
 from framecast.autodiff import Tensor
+from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from framecast.fields import normalize
 from framecast.tokenizer import (
+    TokenFileError,
     TokenGrid,
     Tokenizer,
     TokenizerConfig,
@@ -244,6 +246,25 @@ class TestTraining:
         for k in tok.trainable():
             assert np.array_equal(back.trainable()[k].data, tok.trainable()[k].data)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays, meta: arrays.update(codebook=np.zeros((4, TOY.latent_dim))),
+            lambda arrays, meta: arrays.pop("dec.out.b"),
+            lambda arrays, meta: meta.pop("beta"),
+            lambda arrays, meta: meta.update(patch_size="big"),
+        ],
+        ids=["codebook-shape", "missing-param", "missing-meta", "meta-type"],
+    )
+    def test_load_rejects_mismatched_checkpoint(self, tmp_path, edit):
+        path = tmp_path / "tok.ckpt"
+        Tokenizer(TOY, seed=8).save(path, step=1)
+        arrays, meta = load_checkpoint(path)
+        edit(arrays, meta)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError):
+            Tokenizer.load(path)
+
 
 class TestEventTokens:
     def tokenizer_and_event(self):
@@ -278,3 +299,38 @@ class TestEventTokens:
         back, n_codes = read_tokens(path)
         assert n_codes == TOY.n_codes
         assert np.array_equal(back, idx)
+
+
+class TestTokFileErrors:
+    @pytest.fixture()
+    def blob(self, tmp_path):
+        path = tmp_path / "ok.tok"
+        write_tokens(path, np.arange(8).reshape(2, 2, 2), 16)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"TOK1", b"TOK2"),
+            (b"n_codes 16", b"n_codes"),
+            (b"h_lat 2\n", b""),
+            (b"w_lat 2", b"w_lat two"),
+            (b"n_frames 2", b"n_frames -2"),
+            (b"n_codes 16", b"n_codes 4"),
+            (b"\n---\n", b"\n--\n"),
+        ],
+        ids=["magic", "no-value", "missing-key", "not-int", "negative", "index-range",
+             "no-terminator"],
+    )
+    def test_malformed_header(self, tmp_path, blob, old, new):
+        path = tmp_path / "bad.tok"
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(TokenFileError):
+            read_tokens(path)
+
+    @pytest.mark.parametrize("cut", [-1, 2])
+    def test_payload_length_exact(self, tmp_path, blob, cut):
+        path = tmp_path / "bad.tok"
+        path.write_bytes(blob[:cut] if cut < 0 else blob + b"\0" * cut)
+        with pytest.raises(TokenFileError):
+            read_tokens(path)
