@@ -30,13 +30,23 @@ _CKPT = Container("CKPT1", CheckpointError)
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
-    """Write named arrays (or Tensors) plus scalar metadata to path."""
+    """Write named arrays (or Tensors) plus scalar metadata to path.
+
+    Names and meta keys must be non-empty without whitespace, and meta
+    values must satisfy the container's header rules on their own.
+    """
+    meta = meta or {}
+    for name in [*params, *meta]:
+        if str(name).split() != [str(name)]:
+            raise CheckpointError(f"checkpoint name {name!r} is empty or holds whitespace")
+    if any(str(value)[:1].isspace() for value in meta.values()):
+        raise CheckpointError("a meta value starts with whitespace")
+    header = [("meta", f"{key} {value}") for key, value in sorted(meta.items())]
     arrays = {}
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
         arrays[name] = np.ascontiguousarray(arr, dtype="<f4" if arr.dtype == np.float32 else "<f8")
 
-    header = [("meta", f"{key} {value}") for key, value in sorted((meta or {}).items())]
     for name, arr in sorted(arrays.items()):
         dims = ",".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
         header.append(("param", f"{name} {arr.dtype.str[1:]} {dims}"))
@@ -69,7 +79,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     for kind, value in header:
         parts = value.split()
         if kind == "meta" and len(parts) >= 2 and parts[0] not in meta:
-            meta[parts[0]] = _parse_meta_value(" ".join(parts[1:]))
+            meta[parts[0]] = _parse_meta_value(value.split(None, 1)[1])
         elif kind == "param" and len(parts) == 3 and parts[0] not in entries:
             name, code, dims = parts
             if code not in _DTYPES:

@@ -33,7 +33,6 @@ from .fields import EventSequence, denormalize, filter_events, normalize
 from .tokenizer import (
     Tokenizer,
     TokenizerTrainConfig,
-    quantize,
     stack_token_grids,
     train_tokenizer,
     write_loss_log,
@@ -210,16 +209,11 @@ def _forecast_event(cfg: RunConfig, tokenizer: Tokenizer, model: DynamicsModel, 
             f"event has {event.n_frames} frames, fewer than context_len {cfg.context_len}"
         )
     context_frames = event.frames[: cfg.context_len]
-    hp, wp = tokenizer.latent_grid_shape(event.height, event.width)
+    context_idx = tokenizer.tokenize(normalize(context_frames, cfg.data_max))  # (T_c, H', W')
 
-    z_hat = tokenizer.encode(normalize(context_frames, cfg.data_max))
-    context_idx, _ = quantize(z_hat.data, tokenizer.codebook.data)  # (T_c, hp, wp)
-    context_tokens = context_idx.reshape(cfg.context_len, hp * wp)
-
-    predicted = rollout(model, context_tokens, cfg.horizon)  # (horizon, N)
-    pred_idx = predicted.reshape(cfg.horizon, hp, wp)
-    z_q = tokenizer.codebook.data[pred_idx]
-    pred_frames = denormalize(tokenizer.decode(z_q).data, cfg.data_max).astype(np.float32)
+    predicted = rollout(model, context_idx.reshape(cfg.context_len, -1), cfg.horizon)
+    pred_idx = predicted.reshape(cfg.horizon, *context_idx.shape[1:])
+    pred_frames = denormalize(tokenizer.detokenize(pred_idx), cfg.data_max).astype(np.float32)
 
     out_event = EventSequence(
         np.concatenate([context_frames, pred_frames]),

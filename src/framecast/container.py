@@ -32,7 +32,15 @@ class Container:
         self.oversized = oversized or error
 
     def write(self, path, header, payload: bytes) -> None:
-        """Write (key, value) header pairs and the payload to path."""
+        """Write (key, value) header pairs and the payload to path.
+
+        Keys must be non-empty without whitespace and values one non-empty
+        line without outer whitespace, so that ``read`` returns the same pairs.
+        """
+        header = [(str(key), str(value)) for key, value in header]
+        for key, value in header:
+            if key.split() != [key] or value != value.strip() or value.splitlines() != [value]:
+                raise self.error(f"header entry {key!r} {value!r} would not read back")
         lines = "".join(f"{key} {value}\n" for key, value in header).encode("ascii")
         head = self.magic + lines + b"---\n"
         if len(head) > MAX_HEADER_BYTES:

@@ -1,12 +1,12 @@
 """Transformer dynamics over token grids, in two decode regimes.
 
-Frame-level mode factorizes the sequence over whole frames: tokens of one
-frame attend to each other bidirectionally, attention across frames is
-strictly causal, and position (t, i) predicts token i of frame t+1, so a
-full frame decodes in one forward pass. Token-level mode flattens the grids
-into one causal chain and predicts a single token per forward pass, which
-costs tokens_per_frame passes per frame. Both share the same parameter
-shapes, so the comparison isolates the factorization.
+The regimes differ in one number, ``DynamicsConfig.tokens_per_pass`` (k):
+a whole frame in frame mode, where tokens of a frame attend to each other
+and attention across frames is causal, and one token in token mode, a plain
+causal chain. Both share one block-causal mask rule with blocks of k, one
+loss shift (position p scores token p + k) and one decode loop, so a frame
+costs tokens_per_frame / k passes. Parameter shapes are identical too, so
+the comparison isolates the factorization.
 """
 
 from __future__ import annotations
@@ -49,11 +49,8 @@ def build_block_causal_mask(n_frames: int, tokens_per_frame: int) -> BlockMask:
 
 
 def build_token_causal_mask(seq_len: int) -> BlockMask:
-    """Plain causal chain: allow[i, j] = (j <= i)."""
-    if seq_len < 1:
-        raise ValueError("seq_len must be positive")
-    allow = np.tril(np.ones((seq_len, seq_len), dtype=bool))
-    return BlockMask(seq_len, 1, allow)
+    """Plain causal chain, allow[i, j] = (j <= i): one token per block."""
+    return build_block_causal_mask(seq_len, 1)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | BlockMask) -> Tensor:
@@ -103,6 +100,11 @@ class DynamicsConfig:
     def block_size(self) -> int:
         return self.max_frames * self.tokens_per_frame
 
+    @property
+    def tokens_per_pass(self) -> int:
+        """Positions one forward pass decodes: a whole frame, or one token."""
+        return self.tokens_per_frame if self.mode == "frame" else 1
+
 
 class DynamicsModel:
     """Pre-LN transformer over token grids with a per-call forward counter."""
@@ -150,12 +152,10 @@ class DynamicsModel:
     # ---- forward ----------------------------------------------------------
 
     def _mask_for(self, seq_len: int) -> np.ndarray:
-        n = self.config.tokens_per_frame
-        if self.config.mode == "frame":
-            if seq_len % n:
-                raise ConfigError(f"sequence length {seq_len} is not a multiple of {n}")
-            return build_block_causal_mask(seq_len // n, n).allow
-        return build_token_causal_mask(seq_len).allow
+        k = self.config.tokens_per_pass
+        if seq_len % k:
+            raise ConfigError(f"sequence length {seq_len} is not a multiple of {k}")
+        return build_block_causal_mask(seq_len // k, k).allow
 
     def forward_flat(self, tokens: np.ndarray) -> Tensor:
         """One transformer pass over flat token ids (B, L) -> logits (B, L, V).
@@ -231,8 +231,9 @@ class DynamicsModel:
 def dynamics_loss(model: DynamicsModel, batch: np.ndarray) -> Tensor:
     """Teacher-forced cross entropy over every predictable position.
 
-    batch is (B, T, N) token ids; targets are frames 2..T (frame mode) or
-    tokens 2..T*N of the flattened chain (token mode), reduced by mean.
+    batch is (B, T, N) token ids. With k = tokens_per_pass, flat positions
+    [0, T*N - k) score the tokens k positions later: frames 2..T in frame
+    mode, tokens 2..T*N of the chain in token mode. Reduced by mean.
     """
     batch = np.asarray(batch)
     if batch.ndim != 3:
@@ -243,14 +244,10 @@ def dynamics_loss(model: DynamicsModel, batch: np.ndarray) -> Tensor:
     b, t, n = batch.shape
     if t < 2:
         raise ValueError("need at least 2 frames for a prediction target")
-    logits = model.forward(batch)  # (B, T, N, V)
-    if cfg.mode == "frame":
-        pred = logits.slice_axis(1, 0, t - 1).reshape(b * (t - 1) * n, cfg.vocab_size)
-        targets = batch[:, 1:].reshape(-1)
-    else:
-        flat = logits.reshape(b, t * n, cfg.vocab_size)
-        pred = flat.slice_axis(1, 0, t * n - 1).reshape(b * (t * n - 1), cfg.vocab_size)
-        targets = batch.reshape(b, t * n)[:, 1:].reshape(-1)
+    length, k = t * n, cfg.tokens_per_pass
+    logits = model.forward(batch).reshape(b, length, cfg.vocab_size)
+    pred = logits.slice_axis(1, 0, length - k).reshape(b * (length - k), cfg.vocab_size)
+    targets = batch.reshape(b, length)[:, k:].reshape(-1)
     return cross_entropy_logits(pred, targets)
 
 
@@ -273,40 +270,18 @@ def decode_next_frame(
     model: DynamicsModel, context_tokens: np.ndarray, temperature: float = 0.0, rng=None
 ) -> np.ndarray:
     """Predict all N tokens of the next frame with a single forward pass."""
-    cfg = model.config
-    if cfg.mode != "frame":
+    if model.config.mode != "frame":
         raise ConfigError("decode_next_frame needs a frame-mode model")
-    context = np.asarray(context_tokens)
-    t = context.shape[0]
-    if t < 1:
-        raise ValueError("context must hold at least one frame")
-    if t >= cfg.max_frames:
-        raise HorizonError(f"cannot extend a {t}-frame context past max_frames {cfg.max_frames}")
-    logits = model.forward(context)  # one pass
-    return _pick_tokens(logits.data[t - 1], temperature, rng)
+    return rollout(model, context_tokens, 1, temperature, rng)[0]
 
 
 def decode_next_frame_tokenwise(
     model: DynamicsModel, context_tokens: np.ndarray, temperature: float = 0.0, rng=None
 ) -> np.ndarray:
     """Predict the next frame one token at a time: N forward passes."""
-    cfg = model.config
-    if cfg.mode != "token":
+    if model.config.mode != "token":
         raise ConfigError("decode_next_frame_tokenwise needs a token-mode model")
-    context = np.asarray(context_tokens)
-    t = context.shape[0]
-    if t < 1:
-        raise ValueError("context must hold at least one frame")
-    if t >= cfg.max_frames:
-        raise HorizonError(f"cannot extend a {t}-frame context past max_frames {cfg.max_frames}")
-    flat = list(context.reshape(-1))
-    picked = []
-    for _ in range(cfg.tokens_per_frame):
-        logits = model.forward_flat(np.asarray(flat, dtype=np.int64)[None])
-        token = int(_pick_tokens(logits.data[0, -1], temperature, rng))
-        picked.append(token)
-        flat.append(token)
-    return np.asarray(picked, dtype=np.int32)
+    return rollout(model, context_tokens, 1, temperature, rng)[0]
 
 
 def rollout(
@@ -316,26 +291,34 @@ def rollout(
     temperature: float = 0.0,
     rng=None,
 ) -> np.ndarray:
-    """Autoregressive forecast of `horizon` frames, feeding predictions back."""
+    """Autoregressive forecast of `horizon` frames (T, N) -> (horizon, N).
+
+    Each forward pass runs over the whole sequence so far and appends the
+    tokens picked from its last k = tokens_per_pass logits, so a frame
+    costs N / k passes.
+    """
+    cfg = model.config
+    n, k = cfg.tokens_per_frame, cfg.tokens_per_pass
     context = np.asarray(context_tokens)
+    if context.ndim != 2 or context.shape[1] != n:
+        raise ConfigError(f"context must have shape (T, {n}), got {context.shape}")
+    t = context.shape[0]
+    if t < 1:
+        raise ValueError("context must hold at least one frame")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    cfg = model.config
-    if context.shape[0] + horizon > cfg.max_frames:
+    if t + horizon > cfg.max_frames:
         raise HorizonError(
-            f"{context.shape[0]} context + {horizon} forecast frames exceed "
-            f"max_frames {cfg.max_frames}"
+            f"{t} context + {horizon} forecast frames exceed max_frames {cfg.max_frames}"
         )
-    decode = decode_next_frame if cfg.mode == "frame" else decode_next_frame_tokenwise
-    frames = list(context)
-    predicted = []
-    for _ in range(horizon):
-        nxt = decode(model, np.asarray(frames), temperature=temperature, rng=rng)
-        predicted.append(nxt)
-        frames.append(nxt)
-    if not predicted:
-        return np.zeros((0, cfg.tokens_per_frame), dtype=np.int32)
-    return np.stack(predicted)
+    seq = np.empty((1, (t + horizon) * n), dtype=np.int64)
+    seq[0, : t * n] = context.reshape(-1)
+    for length in range(t * n, seq.shape[1], k):
+        # one statement, so neither this pass's logits nor its tape outlive it
+        seq[0, length : length + k] = _pick_tokens(
+            model.forward_flat(seq[:, :length]).data[0, -k:], temperature, rng
+        )
+    return seq[0, t * n :].reshape(horizon, n).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -345,7 +328,6 @@ class DynamicsTrainConfig:
     lr: float = 1e-4
     warmup_steps: int = 10000
     seed: int = 0
-    stop_below: float | None = None  # early exit once the loss drops past this
 
 
 def train_dynamics(
@@ -379,8 +361,6 @@ def train_dynamics(
         opt.lr = warmup_lr(step, train.lr, train.warmup_steps)
         opt.step()
         log.append((step, opt.lr, loss.item()))
-        if train.stop_below is not None and loss.item() < train.stop_below:
-            break
     return model, log
 
 

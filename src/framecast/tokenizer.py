@@ -222,23 +222,25 @@ class Tokenizer:
         st = z_hat + (z_q - z_hat).detach()
         return idx, z_q, st
 
+    def tokenize(self, fields) -> np.ndarray:
+        """Normalized fields (H, W) or (B, H, W) -> code indices (..., H', W')."""
+        idx, _ = quantize(self.encode(fields).data, self.codebook.data)
+        return idx
+
+    def detokenize(self, indices) -> np.ndarray:
+        """Code indices (..., H', W') -> normalized fields (..., H, W)."""
+        return self.decode(self.codebook.data[indices]).data
+
     def reconstruct(self, fields) -> np.ndarray:
         """encode -> quantize -> decode, returning plain arrays."""
-        z_hat = self.encode(fields)
-        _, z_q = quantize(z_hat.data, self.codebook.data)
-        return self.decode(z_q).data
+        return self.detokenize(self.tokenize(fields))
 
     # ---- event-level API ----------------------------------------------------
 
     def tokenize_event(self, event: EventSequence, data_max: float) -> list[TokenGrid]:
         """Per-frame encode + quantize; one TokenGrid per frame."""
-        grids = []
-        fields = normalize(event.frames, data_max)
-        z_hat = self.encode(fields)
-        idx, _ = quantize(z_hat.data, self.codebook.data)
-        for t in range(event.n_frames):
-            grids.append(TokenGrid(idx[t], self.config.n_codes))
-        return grids
+        idx = self.tokenize(normalize(event.frames, data_max))
+        return [TokenGrid(frame_idx, self.config.n_codes) for frame_idx in idx]
 
     def detokenize_event(
         self,
@@ -249,9 +251,7 @@ class Tokenizer:
         seed: int | None = None,
     ) -> EventSequence:
         """Codebook lookup + decode per frame, back to rain rates."""
-        idx = np.stack([g.indices for g in grids])
-        z_q = self.codebook.data[idx]
-        fields = self.decode(z_q).data
+        fields = self.detokenize(stack_token_grids(grids))
         frames = denormalize(fields, data_max).astype(np.float32)
         return EventSequence(
             frames,

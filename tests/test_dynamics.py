@@ -343,6 +343,31 @@ class TestDecode:
         rollout(token, context, 3)
         assert token.forward_calls - t0 == 3 * 4
 
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (8,), (1, 2, 4)])
+    def test_context_shape_checked(self, mode, shape):
+        with pytest.raises(ConfigError):
+            rollout(tiny_model(mode=mode), np.zeros(shape, dtype=int), 1)
+
+    def test_empty_context_rejected(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            rollout(tiny_model(), np.zeros((0, 4), dtype=int), 1)
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("frame", [[12, 9, 11, 1], [10, 15, 7, 1], [15, 11, 3, 11]]),
+            ("token", [[12, 9, 11, 1], [10, 15, 6, 1], [15, 10, 3, 10]]),
+        ],
+    )
+    def test_sampled_rollout_is_pinned(self, mode, expected):
+        # pins the rng draw order: one draw per token, in position order
+        model = tiny_model(mode=mode, seed=19)
+        context = np.random.default_rng(20).integers(0, 16, size=(2, 4))
+        out = rollout(model, context, 3, temperature=0.7, rng=np.random.default_rng(21))
+        assert out.dtype == np.int32
+        assert out.tolist() == expected
+
     def test_temperature_sampling_needs_rng(self):
         model = tiny_model(seed=15)
         with pytest.raises(ValueError):

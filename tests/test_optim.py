@@ -3,7 +3,7 @@ import pytest
 
 from framecast.autodiff import Tensor
 from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from framecast.container import MAX_HEADER_BYTES
+from framecast.container import MAX_HEADER_BYTES, Container, ContainerError
 from framecast.optim import Adam, warmup_lr
 
 
@@ -151,3 +151,41 @@ class TestCheckpoint:
         over.write_bytes(path.read_bytes().replace(b"meta note ", b"meta note x"))
         with pytest.raises(CheckpointError, match="terminator"):
             load_checkpoint(over)
+
+    @pytest.mark.parametrize(
+        "name, meta",
+        [
+            ("a", {"tag": ""}),
+            ("a", {"tag": " x"}),
+            ("a", {"tag": "x "}),
+            ("a", {"tag": "a\nparam x f8 1"}),
+            ("a", {"tag": "a\rb"}),
+            ("a", {"bad key": 1}),
+            ("a", {"": 1}),
+            ("bad name", None),
+            ("", None),
+        ],
+        ids=["empty-value", "leading-space", "trailing-space", "injected-line", "carriage-return",
+             "spaced-key", "empty-key", "spaced-name", "empty-name"],
+    )
+    def test_unreadable_header_rejected_before_writing(self, tmp_path, name, meta):
+        path = tmp_path / "c.ckpt"
+        with pytest.raises(CheckpointError):
+            save_checkpoint(path, {name: np.ones(2)}, meta=meta)
+        assert not path.exists()
+
+    def test_spaced_meta_value_round_trips(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {}, meta={"note": "a  b c"})
+        assert load_checkpoint(path)[1] == {"note": "a  b c"}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("", "1"), ("a b", "1"), ("a\n", "1"), ("k", ""), ("k", " 1"), ("k", "1\n"), ("k", "1\nx 2")],
+)
+def test_container_rejects_unreadable_header(tmp_path, key, value):
+    path = tmp_path / "c.bin"
+    with pytest.raises(ContainerError, match="header"):
+        Container("TST1", ContainerError).write(path, [(key, value)], b"")
+    assert not path.exists()

@@ -198,6 +198,15 @@ class TestEncodeDecode:
         recon = tok.reconstruct(batch)
         assert recon.shape == (3, 8, 8)
 
+    def test_tokenize_and_detokenize_match_the_explicit_steps(self):
+        tok = Tokenizer(TOY, seed=6)
+        batch = np.random.default_rng(10).uniform(size=(3, 8, 8))
+        idx, z_q = quantize(tok.encode(batch).data, tok.codebook.data)
+        assert np.array_equal(tok.tokenize(batch), idx)
+        assert np.array_equal(tok.tokenize(batch[0]), idx[0])
+        assert np.array_equal(tok.detokenize(idx), tok.decode(z_q).data)
+        assert np.array_equal(tok.reconstruct(batch), tok.decode(z_q).data)
+
 
 class TestTraining:
     def test_zero_steps_keeps_initialization(self):
