@@ -9,12 +9,7 @@ codebook learned: reconstruction error, code usage, and the loss components
 import numpy as np
 
 from framecast import AdvectionParams, generate_advection_event, normalize, quantize
-from framecast.tokenizer import (
-    TokenizerConfig,
-    TokenizerTrainConfig,
-    stack_token_grids,
-    train_tokenizer,
-)
+from framecast.tokenizer import TokenizerConfig, TokenizerTrainConfig, train_tokenizer
 
 DATA_MAX = 50.0
 
@@ -49,10 +44,9 @@ print(f"   per-pixel reconstruction error on 12 fields: {err:.4f} (normalized un
 print()
 print("4. What the quantizer does")
 print("--------------------------")
-grids = tokenizer.tokenize_event(events[0], DATA_MAX)
-indices = stack_token_grids(grids)
+indices = tokenizer.tokenize(normalize(events[0].frames, DATA_MAX))
 used = np.unique(indices)
-print(f"   event of {len(grids)} frames -> token grids {grids[0].indices.shape}, "
+print(f"   event of {indices.shape[0]} frames -> token grids {indices.shape[1:]}, "
       f"{used.size} distinct codes in use")
 print(f"   frame 0 tokens:\n{indices[0]}")
 z = tokenizer.encode(fields[0])

@@ -41,7 +41,6 @@ from .fields import (
 )
 from .optim import Adam, warmup_lr
 from .tokenizer import (
-    TokenGrid,
     Tokenizer,
     TokenizerConfig,
     quantize,

@@ -2,8 +2,8 @@
 
 A Tensor wraps an ndarray and records the op that produced it; backward()
 topologically sorts the recorded graph and accumulates chain-rule
-contributions into .grad. Float64 is the default (and the precision all
-gradient checks run at); float32 is available for timing runs.
+contributions into .grad. Tensor data is always float64, the precision
+all gradient checks run at.
 """
 
 from __future__ import annotations
@@ -23,15 +23,6 @@ def set_finite_checks(enabled: bool) -> None:
     _FINITE_CHECKS = bool(enabled)
 
 
-def _as_float_array(data, dtype=None):
-    arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
-    if arr.dtype not in (np.float32, np.float64):
-        return arr.astype(np.float64)
-    return arr
-
-
 def _unbroadcast(grad, shape):
     # sum gradient contributions back down to the original operand shape
     extra = grad.ndim - len(shape)
@@ -46,8 +37,8 @@ def _unbroadcast(grad, shape):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None):
-        self.data = _as_float_array(data, dtype)
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -58,10 +49,10 @@ class Tensor:
     # ---- construction helpers -------------------------------------------
 
     @staticmethod
-    def _lift(other, dtype):
+    def _lift(other):
         if isinstance(other, Tensor):
             return other
-        return Tensor(np.asarray(other, dtype=dtype))
+        return Tensor(other)
 
     @staticmethod
     def _make(data, parents, backward):
@@ -77,10 +68,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
@@ -93,7 +80,7 @@ class Tensor:
     # ---- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._lift(other, self.dtype)
+        other = Tensor._lift(other)
         out_data = self.data + other.data
 
         def backward(g):
@@ -107,7 +94,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = Tensor._lift(other, self.dtype)
+        other = Tensor._lift(other)
         out_data = self.data * other.data
 
         def backward(g):
@@ -124,11 +111,11 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other):
-        other = Tensor._lift(other, self.dtype)
+        other = Tensor._lift(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return Tensor._lift(other, self.dtype) + (-self)
+        return Tensor._lift(other) + (-self)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -156,15 +143,6 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 self.grad += g / self.data
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self.grad += g * (1.0 - out_data**2)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -197,7 +175,7 @@ class Tensor:
     # ---- linear algebra / shaping ------------------------------------------
 
     def matmul(self, other):
-        other = Tensor._lift(other, self.dtype)
+        other = Tensor._lift(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2D")
         if self.data.shape[-1] != other.data.shape[-2]:
@@ -326,8 +304,7 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
         allowed = np.ones_like(data, dtype=bool)
     else:
         allowed = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-    neg_inf = np.array(-np.inf, dtype=data.dtype)
-    masked = np.where(allowed, data, neg_inf)
+    masked = np.where(allowed, data, -np.inf)
     peak = masked.max(axis=axis, keepdims=True)
     dead = ~np.isfinite(peak)
     if _FINITE_CHECKS and dead.any():
@@ -374,7 +351,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     shift = Tensor(logits.data.max(axis=-1, keepdims=True))
     shifted = logits - shift
     lse = (shifted.exp().sum(axis=-1, keepdims=True)).log() + shift
-    one_hot = np.zeros(logits.data.shape, dtype=logits.data.dtype)
+    one_hot = np.zeros(logits.data.shape)
     np.put_along_axis(one_hot, targets[..., None], 1.0, axis=-1)
     picked = (logits * Tensor(one_hot)).sum(axis=-1, keepdims=True)
     return (lse - picked).mean()
@@ -392,10 +369,6 @@ def gradients(loss: Tensor, leaves) -> list[np.ndarray]:
     return out
 
 
-def parameter(rng, shape, scale=0.02, dtype=np.float64) -> Tensor:
+def parameter(rng, shape, scale=0.02) -> Tensor:
     """Gaussian-initialized trainable tensor."""
-    return Tensor(rng.normal(0.0, scale, size=shape).astype(dtype), requires_grad=True)
-
-
-def zeros(shape, requires_grad=False, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+    return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)

@@ -33,7 +33,8 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
     """Write named arrays (or Tensors) plus scalar metadata to path.
 
     Names and meta keys must be non-empty without whitespace, and meta
-    values must satisfy the container's header rules on their own.
+    values must satisfy the container's header rules on their own. A text
+    value must not look like a number, so that it reads back as text.
     """
     meta = meta or {}
     for name in [*params, *meta]:
@@ -41,6 +42,9 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
             raise CheckpointError(f"checkpoint name {name!r} is empty or holds whitespace")
     if any(str(value)[:1].isspace() for value in meta.values()):
         raise CheckpointError("a meta value starts with whitespace")
+    for key, value in meta.items():
+        if isinstance(value, str) and not isinstance(_parse_meta_value(value), str):
+            raise CheckpointError(f"meta {key} text {value!r} would read back as a number")
     header = [("meta", f"{key} {value}") for key, value in sorted(meta.items())]
     arrays = {}
     for name, value in params.items():
@@ -124,13 +128,17 @@ def load_model(path, config_type) -> tuple[object, dict[str, np.ndarray], int]:
 
 
 def restore(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Load arrays into a model's parameters; names and shapes must match exactly."""
+    """Load arrays into a model's parameters; names, shapes and the float64
+    dtype must match exactly."""
     _check_names("parameter", params, arrays)
     for name, tensor in params.items():
         if arrays[name].shape != tensor.data.shape:
             raise CheckpointError(f"parameter {name!r} has shape {arrays[name].shape}, "
                                   f"the model expects {tensor.data.shape}")
-        tensor.data = arrays[name].astype(tensor.data.dtype, copy=False)
+        if arrays[name].dtype != np.float64:
+            raise CheckpointError(f"parameter {name!r} is {arrays[name].dtype}, "
+                                  "the model expects float64")
+        tensor.data = arrays[name]
 
 
 def _check_names(what: str, expected, found) -> None:

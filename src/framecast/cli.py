@@ -33,7 +33,6 @@ from .fields import EventSequence, denormalize, filter_events, normalize
 from .tokenizer import (
     Tokenizer,
     TokenizerTrainConfig,
-    stack_token_grids,
     train_tokenizer,
     write_loss_log,
     write_tokens,
@@ -172,9 +171,7 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     mode = args.mode or cfg.mode
     tokenizer, _ = Tokenizer.load(_require(_tokenizer_path(ckpt_dir), "train-tokenizer"))
     events = _load_dataset(data_dir)
-    tokens = np.stack(
-        [stack_token_grids(tokenizer.tokenize_event(e, cfg.data_max)) for e in events]
-    )
+    tokens = np.stack([tokenizer.tokenize(normalize(e.frames, cfg.data_max)) for e in events])
     tokens = tokens.reshape(tokens.shape[0], tokens.shape[1], -1)  # (n, T, N)
 
     ckpt = _dynamics_path(ckpt_dir, mode)

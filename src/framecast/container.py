@@ -34,12 +34,14 @@ class Container:
     def write(self, path, header, payload: bytes) -> None:
         """Write (key, value) header pairs and the payload to path.
 
-        Keys must be non-empty without whitespace and values one non-empty
-        line without outer whitespace, so that ``read`` returns the same pairs.
+        Keys must be non-empty ASCII without whitespace and values one
+        non-empty ASCII line without outer whitespace, so that ``read``
+        returns the same pairs.
         """
         header = [(str(key), str(value)) for key, value in header]
         for key, value in header:
-            if key.split() != [key] or value != value.strip() or value.splitlines() != [value]:
+            if (key.split() != [key] or value != value.strip() or value.splitlines() != [value]
+                    or not (key + value).isascii()):
                 raise self.error(f"header entry {key!r} {value!r} would not read back")
         lines = "".join(f"{key} {value}\n" for key, value in header).encode("ascii")
         head = self.magic + lines + b"---\n"

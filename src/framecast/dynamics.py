@@ -53,17 +53,19 @@ def build_token_causal_mask(seq_len: int) -> BlockMask:
     return build_block_causal_mask(seq_len, 1)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | BlockMask) -> Tensor:
-    """Scaled dot-product attention; disallowed positions get exactly 0 weight."""
-    allow = mask.allow if isinstance(mask, BlockMask) else np.asarray(mask, dtype=bool)
-    if allow.shape != (q.shape[-2], k.shape[-2]):
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention; disallowed positions get exactly 0 weight.
+
+    mask is a bool array (Lq, Lk), True where a query may attend to a key.
+    """
+    if mask.shape != (q.shape[-2], k.shape[-2]):
         raise ValueError(
-            f"mask shape {allow.shape} does not match sequence lengths "
+            f"mask shape {mask.shape} does not match sequence lengths "
             f"{(q.shape[-2], k.shape[-2])}"
         )
     scale = 1.0 / np.sqrt(k.shape[-1])
     scores = (q @ k.transpose(_swap_last_two(len(k.shape)))) * scale
-    weights = softmax(scores, mask=allow, axis=-1)
+    weights = softmax(scores, mask=mask, axis=-1)
     return weights @ v
 
 
@@ -109,7 +111,7 @@ class DynamicsConfig:
 class DynamicsModel:
     """Pre-LN transformer over token grids with a per-call forward counter."""
 
-    def __init__(self, config: DynamicsConfig, seed: int = 0, dtype=np.float64):
+    def __init__(self, config: DynamicsConfig, seed: int = 0):
         self.config = config
         self.forward_calls = 0
         rng = np.random.default_rng(seed)
@@ -117,13 +119,13 @@ class DynamicsModel:
         hidden = config.mlp_ratio * d
 
         def gauss(shape, scale=0.02):
-            return parameter(rng, shape, scale=scale, dtype=dtype)
+            return parameter(rng, shape, scale=scale)
 
         def ones(shape):
-            return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+            return Tensor(np.ones(shape), requires_grad=True)
 
         def zeros(shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+            return Tensor(np.zeros(shape), requires_grad=True)
 
         params = {
             "tok_emb": gauss((config.vocab_size, d)),

@@ -19,36 +19,7 @@ import numpy as np
 from .autodiff import Tensor, parameter
 from .checkpoint import load_model, restore, save_model
 from .container import Container, ContainerError
-from .fields import EventSequence, denormalize, normalize
 from .optim import Adam, warmup_lr
-
-
-@dataclass(frozen=True)
-class TokenGrid:
-    """Grid of codebook indices for one frame."""
-
-    indices: np.ndarray  # (H', W') integers
-    n_codes: int
-
-    def __post_init__(self):
-        indices = np.ascontiguousarray(self.indices, dtype=np.int32)
-        if indices.ndim != 2:
-            raise ValueError(f"token grid must be 2D, got shape {indices.shape}")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.n_codes):
-            raise ValueError(f"token index out of range [0, {self.n_codes})")
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def h_lat(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def w_lat(self) -> int:
-        return self.indices.shape[1]
-
-    @property
-    def tokens_per_frame(self) -> int:
-        return self.indices.size
 
 
 @dataclass(frozen=True)
@@ -66,12 +37,12 @@ class TokenizerConfig:
             raise ValueError("beta must be positive")
 
 
-def init_codebook(n_codes, latent_dim, rng, dtype=np.float64) -> Tensor:
+def init_codebook(n_codes, latent_dim, rng) -> Tensor:
     """Codebook entries near zero; re-jitter until no two rows are identical."""
     entries = rng.uniform(-1.0 / n_codes, 1.0 / n_codes, size=(n_codes, latent_dim))
     while len(np.unique(entries, axis=0)) < n_codes:  # pragma: no cover - vanishing odds
         entries += rng.normal(0.0, 1e-9, size=entries.shape)
-    return Tensor(entries.astype(dtype), requires_grad=True)
+    return Tensor(entries, requires_grad=True)
 
 
 def nearest_code_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -85,22 +56,20 @@ def nearest_code_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray
     return d2.argmin(axis=1).astype(np.int32)
 
 
-def quantize(z_hat, codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Snap latent vectors (..., dim) to codebook rows.
+def quantize(z_hat: np.ndarray, codebook: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Snap latent vectors (..., dim) to codebook rows (K, dim).
 
     Returns (indices (...,), z_q (..., dim)); z_q values are bit-exact copies
     of codebook rows.
     """
-    z = z_hat.data if isinstance(z_hat, Tensor) else np.asarray(z_hat)
-    entries = codebook.data if isinstance(codebook, Tensor) else np.asarray(codebook)
-    if z.shape[-1] != entries.shape[-1]:
+    if z_hat.shape[-1] != codebook.shape[-1]:
         raise ValueError(
-            f"latent dim {z.shape[-1]} does not match codebook dim {entries.shape[-1]}"
+            f"latent dim {z_hat.shape[-1]} does not match codebook dim {codebook.shape[-1]}"
         )
-    flat = z.reshape(-1, z.shape[-1])
-    idx = nearest_code_indices(flat, entries)
-    z_q = entries[idx].reshape(z.shape)
-    return idx.reshape(z.shape[:-1]), z_q
+    flat = z_hat.reshape(-1, z_hat.shape[-1])
+    idx = nearest_code_indices(flat, codebook)
+    z_q = codebook[idx].reshape(z_hat.shape)
+    return idx.reshape(z_hat.shape[:-1]), z_q
 
 
 def vqvae_loss(x, x_hat, z_hat, z_q, beta) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -138,14 +107,14 @@ def _patchify(fields: np.ndarray, patch: int) -> np.ndarray:
 class Tokenizer:
     """Patch encoder, codebook, and mirrored decoder."""
 
-    def __init__(self, config: TokenizerConfig, seed: int = 0, dtype=np.float64):
+    def __init__(self, config: TokenizerConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
         p2 = config.patch_size * config.patch_size
         h, d = config.hidden_dim, config.latent_dim
 
         def param(shape, scale=0.05):
-            return parameter(rng, shape, scale=scale, dtype=dtype)
+            return parameter(rng, shape, scale=scale)
 
         self.params: dict[str, Tensor] = {
             "enc.proj.w": param((p2, h)),
@@ -159,9 +128,9 @@ class Tokenizer:
             "dec.fc2.w": param((h, h)),
             "dec.fc2.b": param((h,), scale=0.0),
             "dec.out.w": param((h, p2)),
-            "dec.out.b": Tensor(np.full(p2, 0.5, dtype=dtype), requires_grad=True),
+            "dec.out.b": Tensor(np.full(p2, 0.5), requires_grad=True),
         }
-        self.codebook = init_codebook(config.n_codes, d, rng, dtype=dtype)
+        self.codebook = init_codebook(config.n_codes, d, rng)
 
     # ---- model surface -----------------------------------------------------
 
@@ -223,7 +192,7 @@ class Tokenizer:
         return idx, z_q, st
 
     def tokenize(self, fields) -> np.ndarray:
-        """Normalized fields (H, W) or (B, H, W) -> code indices (..., H', W')."""
+        """Normalized fields (H, W) or (B, H, W) -> int32 code indices (..., H', W')."""
         idx, _ = quantize(self.encode(fields).data, self.codebook.data)
         return idx
 
@@ -234,32 +203,6 @@ class Tokenizer:
     def reconstruct(self, fields) -> np.ndarray:
         """encode -> quantize -> decode, returning plain arrays."""
         return self.detokenize(self.tokenize(fields))
-
-    # ---- event-level API ----------------------------------------------------
-
-    def tokenize_event(self, event: EventSequence, data_max: float) -> list[TokenGrid]:
-        """Per-frame encode + quantize; one TokenGrid per frame."""
-        idx = self.tokenize(normalize(event.frames, data_max))
-        return [TokenGrid(frame_idx, self.config.n_codes) for frame_idx in idx]
-
-    def detokenize_event(
-        self,
-        grids: list[TokenGrid],
-        data_max: float,
-        context_len: int,
-        step_minutes: int = 30,
-        seed: int | None = None,
-    ) -> EventSequence:
-        """Codebook lookup + decode per frame, back to rain rates."""
-        fields = self.detokenize(stack_token_grids(grids))
-        frames = denormalize(fields, data_max).astype(np.float32)
-        return EventSequence(
-            frames,
-            context_len=context_len,
-            step_minutes=step_minutes,
-            data_max=data_max,
-            seed=seed,
-        )
 
     # ---- persistence ---------------------------------------------------------
 
@@ -385,7 +328,3 @@ def read_tokens(path) -> tuple[np.ndarray, int]:
         raise TokenFileError(f"token index {idx.max()} out of range [0, {n_codes})")
     return idx, n_codes
 
-
-def stack_token_grids(grids: list[TokenGrid]) -> np.ndarray:
-    """(T, H', W') index array from a per-frame TokenGrid list."""
-    return np.stack([g.indices for g in grids])

@@ -41,7 +41,6 @@ from framecast.tokenizer import (
     TokenizerConfig,
     TokenizerTrainConfig,
     quantize,
-    stack_token_grids,
     train_tokenizer,
     vqvae_loss,
 )
@@ -455,7 +454,7 @@ def _run_smoke_seed(seed):
             break
 
     tokens = np.stack(
-        [stack_token_grids(tokenizer.tokenize_event(e, DATA_MAX)).reshape(9, -1)
+        [tokenizer.tokenize(normalize(e.frames, DATA_MAX)).reshape(9, -1)
          for e in train_events]
     )
     model = DynamicsModel(

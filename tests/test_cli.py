@@ -286,8 +286,9 @@ class TestMismatchedCheckpoint:
             lambda arrays, meta: arrays.update({"head.w": np.zeros((3, 3)), "extra": np.ones(2)}),
             lambda arrays, meta: arrays.pop("head.w"),
             lambda arrays, meta: meta.pop("mode"),
+            lambda arrays, meta: arrays.update({k: v.astype(np.float32) for k, v in arrays.items()}),
         ],
-        ids=["shape-and-extra", "missing-param", "missing-mode"],
+        ids=["shape-and-extra", "missing-param", "missing-mode", "float32"],
     )
     def test_mismatched_entries(self, untrained, capsys, edit):
         cfg_path, out, path, event = untrained

@@ -267,9 +267,10 @@ class TestStrictLoad:
             lambda arrays, meta: meta.update(unknown=1),
             lambda arrays, meta: meta.update(n_layers=1.5),
             lambda arrays, meta: meta.update(n_heads=3),
+            lambda arrays, meta: arrays.update({k: v.astype(np.float32) for k, v in arrays.items()}),
         ],
         ids=["shape-and-extra", "missing-param", "missing-mode", "missing-step",
-             "extra-meta", "meta-type", "invalid-config"],
+             "extra-meta", "meta-type", "invalid-config", "float32"],
     )
     def test_mismatch_raises(self, path, edit):
         arrays, meta = load_checkpoint(path)

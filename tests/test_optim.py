@@ -164,9 +164,14 @@ class TestCheckpoint:
             ("a", {"": 1}),
             ("bad name", None),
             ("", None),
+            ("a", {"tag": "007"}),
+            ("a", {"x": "nan"}),
+            ("a", {"y": "1e3"}),
+            ("a", {"tag": "\u00e9"}),
         ],
         ids=["empty-value", "leading-space", "trailing-space", "injected-line", "carriage-return",
-             "spaced-key", "empty-key", "spaced-name", "empty-name"],
+             "spaced-key", "empty-key", "spaced-name", "empty-name", "int-text", "nan-text",
+             "float-text", "non-ascii"],
     )
     def test_unreadable_header_rejected_before_writing(self, tmp_path, name, meta):
         path = tmp_path / "c.ckpt"
@@ -182,7 +187,8 @@ class TestCheckpoint:
 
 @pytest.mark.parametrize(
     "key, value",
-    [("", "1"), ("a b", "1"), ("a\n", "1"), ("k", ""), ("k", " 1"), ("k", "1\n"), ("k", "1\nx 2")],
+    [("", "1"), ("a b", "1"), ("a\n", "1"), ("k", ""), ("k", " 1"), ("k", "1\n"), ("k", "1\nx 2"),
+     ("k", "\u00e9")],
 )
 def test_container_rejects_unreadable_header(tmp_path, key, value):
     path = tmp_path / "c.bin"

@@ -7,14 +7,12 @@ from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoi
 from framecast.fields import normalize
 from framecast.tokenizer import (
     TokenFileError,
-    TokenGrid,
     Tokenizer,
     TokenizerConfig,
     TokenizerTrainConfig,
     init_codebook,
     quantize,
     read_tokens,
-    stack_token_grids,
     train_tokenizer,
     vqvae_loss,
     write_tokens,
@@ -262,8 +260,9 @@ class TestTraining:
             lambda arrays, meta: arrays.pop("dec.out.b"),
             lambda arrays, meta: meta.pop("beta"),
             lambda arrays, meta: meta.update(patch_size="big"),
+            lambda arrays, meta: arrays.update({k: v.astype(np.float32) for k, v in arrays.items()}),
         ],
-        ids=["codebook-shape", "missing-param", "missing-meta", "meta-type"],
+        ids=["codebook-shape", "missing-param", "missing-meta", "meta-type", "float32"],
     )
     def test_load_rejects_mismatched_checkpoint(self, tmp_path, edit):
         path = tmp_path / "tok.ckpt"
@@ -283,26 +282,20 @@ class TestEventTokens:
 
     def test_tokenize_shapes_and_range(self):
         tok, ev = self.tokenizer_and_event()
-        grids = tok.tokenize_event(ev, data_max=40.0)
-        assert len(grids) == ev.n_frames
-        for g in grids:
-            assert (g.h_lat, g.w_lat) == (2, 2)
-            assert g.indices.max() < TOY.n_codes
+        idx = tok.tokenize(normalize(ev.frames, 40.0))
+        assert idx.shape == (ev.n_frames, 2, 2)
+        assert idx.dtype == np.int32
+        assert idx.min() >= 0 and idx.max() < TOY.n_codes
 
     def test_detokenize_round_trip_shape(self):
         tok, ev = self.tokenizer_and_event()
-        grids = tok.tokenize_event(ev, data_max=40.0)
-        back = tok.detokenize_event(grids, data_max=40.0, context_len=ev.context_len)
-        assert back.frames.shape == ev.frames.shape
-        assert back.n_frames == ev.n_frames
-
-    def test_token_grid_validation(self):
-        with pytest.raises(ValueError):
-            TokenGrid(np.array([[0, 99]]), n_codes=16)
+        back = tok.detokenize(tok.tokenize(normalize(ev.frames, 40.0)))
+        assert back.shape == ev.frames.shape
+        assert back.min() >= 0.0 and back.max() <= 1.0
 
     def test_tok_file_round_trip(self, tmp_path):
         tok, ev = self.tokenizer_and_event()
-        idx = stack_token_grids(tok.tokenize_event(ev, data_max=40.0))
+        idx = tok.tokenize(normalize(ev.frames, 40.0))
         path = tmp_path / "ev.tok"
         write_tokens(path, idx, TOY.n_codes)
         back, n_codes = read_tokens(path)
