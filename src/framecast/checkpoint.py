@@ -33,8 +33,9 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
     """Write named arrays (or Tensors) plus scalar metadata to path.
 
     Names and meta keys must be non-empty without whitespace, and meta
-    values must satisfy the container's header rules on their own. A text
-    value must not look like a number, so that it reads back as text.
+    values must satisfy the container's header rules on their own. A meta
+    value is an int, a float or text (not a bool), and text must not look
+    like a number, so that every value reads back as written.
     """
     meta = meta or {}
     for name in [*params, *meta]:
@@ -43,6 +44,8 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
     if any(str(value)[:1].isspace() for value in meta.values()):
         raise CheckpointError("a meta value starts with whitespace")
     for key, value in meta.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise CheckpointError(f"meta {key} value {value!r} is not an int, a float or text")
         if isinstance(value, str) and not isinstance(_parse_meta_value(value), str):
             raise CheckpointError(f"meta {key} text {value!r} would read back as a number")
     header = [("meta", f"{key} {value}") for key, value in sorted(meta.items())]

@@ -247,12 +247,15 @@ def _synthetic_catchments(height, width):
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    taus = tuple(float(t) for t in args.taus.split(","))
+    # each tau names one series of rows; a repeat or a non-finite tau cannot be reported
+    if len(set(taus)) != len(taus) or not all(np.isfinite(taus)):
+        raise ConfigError(f"--taus {args.taus} must be distinct finite thresholds")
     _, _, report_dir = _paths(cfg, args.out)
     report_dir.mkdir(parents=True, exist_ok=True)
     obs_events = read_events(args.obs)
     if not obs_events:
         raise ConfigError(f"observation manifest {args.obs} lists no events")
-    taus = tuple(float(t) for t in args.taus.split(","))
 
     per_seed_reports = []
     for run_idx, pred_manifest in enumerate(args.pred):

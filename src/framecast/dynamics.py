@@ -30,10 +30,6 @@ class BlockMask:
     tokens_per_frame: int
     allow: np.ndarray
 
-    @property
-    def seq_len(self) -> int:
-        return self.n_frames * self.tokens_per_frame
-
 
 def build_block_causal_mask(n_frames: int, tokens_per_frame: int) -> BlockMask:
     """All-true within a frame, lower-block-triangular across frames.

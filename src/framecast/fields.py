@@ -143,9 +143,6 @@ class EventSequence:
     def target(self) -> np.ndarray:
         return self.frames[self.context_len :]
 
-    def field(self, t: int) -> RadarField:
-        return RadarField(self.frames[t])
-
     def lead_minutes(self) -> np.ndarray:
         """Lead time of each target frame, relative to the last context frame."""
         return (np.arange(self.horizon) + 1) * self.step_minutes

@@ -191,10 +191,10 @@ def auc(curve: ROCCurve) -> float:
     return float(np.trapezoid(y, x))
 
 
-def default_gammas(*arrays, count: int = 33) -> np.ndarray:
-    """Evenly spaced decision thresholds spanning the given score arrays."""
+def default_gammas(*arrays) -> np.ndarray:
+    """33 evenly spaced decision thresholds spanning the given score arrays."""
     top = max(float(np.max(a)) for a in arrays if np.asarray(a).size)
-    return np.linspace(0.0, max(top, 1e-12), count)
+    return np.linspace(0.0, max(top, 1e-12), 33)
 
 
 # ---- reports ----------------------------------------------------------------
@@ -306,13 +306,42 @@ def _defined(fn, *args):
         return None
 
 
+_LEAD_SCORES = (("mse", mse), ("mae", mae), ("pcc", pcc))
+_TABLE_SCORES = (("csi", csi), ("far", far), ("pod", pod), ("pofd", pofd))
+
+
+def _score_leads(pred, obs, metrics, step_minutes, taus, gammas=None,
+                 stratum=None, seed=None) -> MetricReport:
+    """The one per-lead scoring loop behind every stratifier.
+
+    pred and obs are (horizon, ...) arrays, and lead k * step_minutes scores
+    pred[k - 1] against obs[k - 1]. Each lead emits, in this order and kept
+    to the names in metrics: mse, mae and pcc, then per tau csi, far, pod,
+    pofd and auc (which needs gammas).
+    """
+    lead_scores = [(name, fn) for name, fn in _LEAD_SCORES if name in metrics]
+    table_scores = [(name, fn) for name, fn in _TABLE_SCORES if name in metrics]
+    report = MetricReport()
+    for k in range(pred.shape[0]):
+        p, o = pred[k], obs[k]
+        rows = [(name, None, _defined(fn, p, o)) for name, fn in lead_scores]
+        for tau in taus:
+            if table_scores:
+                table = contingency(p, o, tau)
+                rows += [(name, tau, fn(table)) for name, fn in table_scores]
+            if "auc" in metrics:
+                rows.append(("auc", tau, _defined(lambda: auc(roc_curve(p, o, tau, gammas)))))
+        for metric, threshold, value in rows:
+            report.add(lead_minutes=(k + 1) * step_minutes, metric=metric, value=value,
+                       threshold=threshold, stratum=stratum, seed=seed)
+    return report
+
+
 def stratify_by_lead_time(
     pred_frames,
     obs_frames,
     step_minutes: int,
     taus=DEFAULT_TAUS,
-    gammas=None,
-    stratum: str | None = None,
     seed: str | None = None,
 ) -> MetricReport:
     """Score each forecast frame independently; lead k is k * step_minutes.
@@ -323,38 +352,17 @@ def stratify_by_lead_time(
     pred, obs = _check_shapes(pred_frames, obs_frames)
     if pred.ndim != 3:
         raise ValueError(f"expected (horizon, H, W) frames, got shape {pred.shape}")
-    if gammas is None:
-        gammas = default_gammas(pred, obs)
-    report = MetricReport()
-    for k in range(pred.shape[0]):
-        lead = (k + 1) * step_minutes
-        p, o = pred[k], obs[k]
-        report.add(lead_minutes=lead, metric="mse", value=mse(p, o),
-                   stratum=stratum, seed=seed)
-        report.add(lead_minutes=lead, metric="mae", value=mae(p, o),
-                   stratum=stratum, seed=seed)
-        report.add(lead_minutes=lead, metric="pcc", value=_defined(pcc, p, o),
-                   stratum=stratum, seed=seed)
-        for tau in taus:
-            table = contingency(p, o, tau)
-            for name, score in (("csi", csi(table)), ("far", far(table)),
-                                ("pod", pod(table)), ("pofd", pofd(table))):
-                report.add(lead_minutes=lead, metric=name, value=score,
-                           threshold=tau, stratum=stratum, seed=seed)
-            def curve_auc():
-                return auc(roc_curve(p, o, tau, gammas))
-            report.add(lead_minutes=lead, metric="auc", value=_defined(curve_auc),
-                       threshold=tau, stratum=stratum, seed=seed)
-    return report
+    return _score_leads(pred, obs, ("mse", "mae", "pcc", "csi", "far", "pod", "pofd", "auc"),
+                        step_minutes, taus, default_gammas(pred, obs), seed=seed)
 
 
-def assign_percentile_bins(means, bins=DEFAULT_PERCENTILE_BINS):
-    """Map per-event means to percentile bins (low < p <= high), or None.
+def assign_percentile_bins(means):
+    """Map per-event means to DEFAULT_PERCENTILE_BINS (low < p <= high), or None.
 
     The percentile of an event is its rank midpoint in the set,
     100 * (rank - 0.5) / n with rank 1-based over the sorted means (ties
     keep input order), so a lone event sits at the 50th percentile. The
-    default bins deliberately leave everything above the 95th percentile
+    bins deliberately leave everything above the 95th percentile
     unassigned.
     """
     means = np.asarray(means, dtype=np.float64)
@@ -362,20 +370,12 @@ def assign_percentile_bins(means, bins=DEFAULT_PERCENTILE_BINS):
     ranks = np.empty(means.size, dtype=np.int64)
     ranks[order] = np.arange(1, means.size + 1)
     percentiles = 100.0 * (ranks - 0.5) / means.size
-    labels = []
-    for p in percentiles:
-        chosen = None
-        for low, high in bins:
-            if low < p <= high:
-                chosen = (low, high)
-                break
-        labels.append(chosen)
-    return labels
+    return [next(((low, high) for low, high in DEFAULT_PERCENTILE_BINS if low < p <= high), None)
+            for p in percentiles]
 
 
 def stratify_by_percentile_bin(
     event_pairs,
-    bins=DEFAULT_PERCENTILE_BINS,
     step_minutes: int = 30,
     taus=DEFAULT_TAUS,
     seed: str | None = None,
@@ -383,42 +383,21 @@ def stratify_by_percentile_bin(
     """Per-bin verification of (pred_target, obs_target) frame pairs.
 
     Events land in intensity bins by the percentile of their observed mean;
-    an empty bin simply contributes no rows.
+    each bin's member events are pooled per lead, and an empty bin simply
+    contributes no rows.
     """
     pairs = list(event_pairs)
     if not pairs:
         raise ValueError("need at least one (pred, obs) pair")
-    means = [float(np.asarray(obs).mean()) for _, obs in pairs]
-    labels = assign_percentile_bins(means, bins)
+    labels = assign_percentile_bins([float(np.asarray(obs).mean()) for _, obs in pairs])
     report = MetricReport()
-    for bin_edges in bins:
-        members = [pairs[i] for i, lab in enumerate(labels) if lab == tuple(bin_edges)]
-        if not members:
-            continue
-        stratum = f"p{bin_edges[0]}-{bin_edges[1]}"
-        report.extend(
-            _pooled_lead_report(members, step_minutes, taus, stratum=stratum, seed=seed)
-        )
-    return report
-
-
-def _pooled_lead_report(members, step_minutes, taus, stratum, seed) -> MetricReport:
-    """Lead-by-lead scores with all member events pooled per lead."""
-    horizon = np.asarray(members[0][0]).shape[0]
-    report = MetricReport()
-    for k in range(horizon):
-        lead = (k + 1) * step_minutes
-        p = np.stack([np.asarray(pred)[k] for pred, _ in members])
-        o = np.stack([np.asarray(obs)[k] for _, obs in members])
-        report.add(lead_minutes=lead, metric="mse", value=mse(p, o), stratum=stratum, seed=seed)
-        report.add(lead_minutes=lead, metric="mae", value=mae(p, o), stratum=stratum, seed=seed)
-        report.add(lead_minutes=lead, metric="pcc", value=_defined(pcc, p, o),
-                   stratum=stratum, seed=seed)
-        for tau in taus:
-            table = contingency(p, o, tau)
-            for name, score in (("csi", csi(table)), ("far", far(table))):
-                report.add(lead_minutes=lead, metric=name, value=score,
-                           threshold=tau, stratum=stratum, seed=seed)
+    for low, high in DEFAULT_PERCENTILE_BINS:
+        members = [pair for pair, label in zip(pairs, labels) if label == (low, high)]
+        if members:
+            # (horizon, n_members, H, W): lead k pools every member's frame k
+            pred, obs = (np.stack(frames, axis=1) for frames in zip(*members))
+            report.extend(_score_leads(pred, obs, ("mse", "mae", "pcc", "csi", "far"),
+                                       step_minutes, taus, stratum=f"p{low}-{high}", seed=seed))
     return report
 
 
@@ -447,17 +426,10 @@ def evaluate_catchments(
             raise ValueError(
                 f"mask {name!r} shape {mask.shape} does not match fields {pred.shape[1:]}"
             )
-        for k in range(pred.shape[0]):
-            lead = (k + 1) * step_minutes
-            p = pred[k][mask]
-            o = obs[k][mask]
-            for tau in taus:
-                if p.size == 0:
-                    value = None
-                else:
-                    value = _defined(lambda: auc(roc_curve(p, o, tau, gammas)))
-                report.add(lead_minutes=lead, metric="auc", value=value,
-                           threshold=tau, stratum=name, seed=seed)
+        # pred[:, mask] keeps the lead as its inner stride; a contiguous copy scores faster
+        p, o = np.ascontiguousarray(pred[:, mask]), np.ascontiguousarray(obs[:, mask])
+        report.extend(_score_leads(p, o, ("auc",), step_minutes, taus, gammas,
+                                   stratum=name, seed=seed))
     return report
 
 

@@ -237,6 +237,15 @@ class TestForecastAndEvaluate:
         assert run(cfg_path, out, "evaluate", "--pred", str(manifest), "--obs", str(manifest)) == 2
         assert str(manifest) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("taus", ["1,1", "1,nan", "inf"])
+    def test_evaluate_rejects_unreportable_taus(self, workspace, capsys, taus):
+        # the manifests do not exist: the taus are refused before any is read
+        tmp_path, cfg_path = workspace
+        missing = str(tmp_path / "missing.txt")
+        assert run(cfg_path, tmp_path / "run", "evaluate", "--pred", missing, "--obs", missing,
+                   "--taus", taus) == 2
+        assert "--taus" in capsys.readouterr().err
+
     def test_benchmark_report(self, trained):
         tmp_path, cfg_path, out = trained
         assert run(cfg_path, out, "benchmark", "--reps", "3") == 0

@@ -1,4 +1,5 @@
-"""Pinned bytes of every on-disk format: .evt, tokenizer and dynamics .ckpt, .tok."""
+"""Pinned bytes of every on-disk format (.evt, tokenizer and dynamics .ckpt,
+.tok) and of a full verification report."""
 
 import hashlib
 
@@ -9,6 +10,13 @@ from framecast.dynamics import DynamicsConfig, DynamicsModel, save_dynamics
 from framecast.eventfile import write_event
 from framecast.fields import EventSequence
 from framecast.tokenizer import Tokenizer, TokenizerConfig, write_tokens
+from framecast.verification import (
+    MetricReport,
+    aggregate_over_seeds,
+    evaluate_catchments,
+    stratify_by_lead_time,
+    stratify_by_percentile_bin,
+)
 
 
 def _write_all(tmp_path):
@@ -26,10 +34,41 @@ def _write_all(tmp_path):
     params = {"w": rng.normal(size=(2, 3)).astype(np.float32), "s": np.float64(0.5)}
     save_checkpoint(tmp_path / "generic.ckpt", params, meta={"lr": 1e-4, "tag": "run"})
     write_tokens(tmp_path / "tokens.tok", rng.integers(0, 16, size=(3, 2, 2)), 16)
+    _write_report(tmp_path / "evaluation.csv")
+
+
+def _write_report(path):
+    """The three stratifiers for two seed labels plus their aggregate, as
+    ``evaluate`` assembles them. Tau 100 lies above every value (undefined
+    csi, far, pod and auc rows), the top event falls in the gap above the
+    95th percentile, and the "void" catchment selects no pixel."""
+    rng = np.random.default_rng(2025)
+    taus = (1.0, 4.0, 100.0)
+    west = np.zeros((4, 6), dtype=bool)
+    west[:, :3] = True
+    masks = {"west": west, "east": ~west, "void": np.zeros((4, 6), dtype=bool)}
+    reports = []
+    for seed in ("0", "1"):
+        obs = rng.uniform(0, 10, size=(12, 2, 4, 6)) * np.linspace(0.2, 1.0, 12)[:, None, None, None]
+        pred = (obs + rng.normal(0, 1, size=obs.shape)).clip(0)
+        pooled_pred = np.concatenate(pred, axis=1)
+        pooled_obs = np.concatenate(obs, axis=1)
+        report = stratify_by_lead_time(pooled_pred, pooled_obs, 30, taus=taus, seed=seed)
+        report.extend(stratify_by_percentile_bin(list(zip(pred, obs)), step_minutes=30,
+                                                 taus=taus, seed=seed))
+        tiled = {name: np.tile(mask, (12, 1)) for name, mask in masks.items()}
+        report.extend(evaluate_catchments(pooled_pred, pooled_obs, tiled, taus=taus, seed=seed))
+        reports.append(report)
+    combined = MetricReport()
+    for report in reports:
+        combined.extend(report)
+    combined.extend(aggregate_over_seeds(reports))
+    combined.to_csv(path)
 
 
 # SHA-256 of each file; a change here is a change of the on-disk format, which
-# breaks every .evt, .ckpt and .tok file already written.
+# breaks every .evt, .ckpt and .tok file already written, or of the rows, row
+# order or values of the verification report.
 GOLDEN = {
     "event.evt": "7efaba1bb3360f3fafb0feab1b7a984fac498cf390f754bac5f96dab904e61d9",
     "tokenizer.ckpt": "97f07529ae3b1ad683368527a32bb5bc35949038dcd0ea0b81d9ce4d7ec54f5b",
@@ -37,6 +76,7 @@ GOLDEN = {
     "bare.evt": "e5e7197c166bf123443045705e782b9dfa2ad87134d9f16ad0fc09b8353b5337",
     "generic.ckpt": "514020f74e223089111ddde7021c1683e3b0a1dde96b7d6baee143a0934e3050",
     "tokens.tok": "85050ab1efa459444ea33ea0deeb408761c2a04f8090705f5e3873e05a29601f",
+    "evaluation.csv": "bc79c21f18b26aee99678486509bc4b905da2bd06004781f5b1a7483e64a9248",
 }
 
 

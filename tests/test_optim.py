@@ -168,10 +168,13 @@ class TestCheckpoint:
             ("a", {"x": "nan"}),
             ("a", {"y": "1e3"}),
             ("a", {"tag": "\u00e9"}),
+            ("a", {"flag": True}),
+            ("a", {"n": None}),
+            ("a", {"shape": (2, 3)}),
         ],
         ids=["empty-value", "leading-space", "trailing-space", "injected-line", "carriage-return",
              "spaced-key", "empty-key", "spaced-name", "empty-name", "int-text", "nan-text",
-             "float-text", "non-ascii"],
+             "float-text", "non-ascii", "bool", "none", "tuple"],
     )
     def test_unreadable_header_rejected_before_writing(self, tmp_path, name, meta):
         path = tmp_path / "c.ckpt"
