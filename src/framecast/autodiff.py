@@ -114,9 +114,6 @@ class Tensor:
         other = Tensor._lift(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
-
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -125,24 +122,6 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 self.grad += g * (exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self.grad += g * out_data
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self.grad += g / self.data
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -337,24 +316,31 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
     logits has shape (..., V); targets is an integer array of the leading
-    shape with values in [0, V).
+    shape with values in [0, V). One tape node, whose backward is
+    (softmax - one-hot) / rows with the one-hot applied in place.
     """
+    data = logits.data
     targets = np.asarray(targets)
-    vocab = logits.data.shape[-1]
-    if targets.shape != logits.data.shape[:-1]:
-        raise ValueError(
-            f"targets shape {targets.shape} does not match logits {logits.data.shape}"
-        )
-    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
+    if targets.shape != data.shape[:-1]:
+        raise ValueError(f"targets shape {targets.shape} does not match logits {data.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= data.shape[-1]):
         raise IndexError("target index out of range")
-    # constant max-shift keeps exp() in range without touching gradients
-    shift = Tensor(logits.data.max(axis=-1, keepdims=True))
-    shifted = logits - shift
-    lse = (shifted.exp().sum(axis=-1, keepdims=True)).log() + shift
-    one_hot = np.zeros(logits.data.shape)
-    np.put_along_axis(one_hot, targets[..., None], 1.0, axis=-1)
-    picked = (logits * Tensor(one_hot)).sum(axis=-1, keepdims=True)
-    return (lse - picked).mean()
+    picks = targets[..., None]
+    # the max shift keeps exp() in range without touching the gradient
+    shift = data.max(axis=-1, keepdims=True)
+    e = np.exp(data - shift)
+    total = e.sum(axis=-1, keepdims=True)
+    rows = np.log(total) + shift - np.take_along_axis(data, picks, axis=-1)
+    scale = 1.0 / rows.size
+
+    def backward(g):
+        if logits.requires_grad:
+            g_row = g * scale
+            grad = e * (g_row / total)
+            np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
+            logits.grad += grad
+
+    return Tensor._make(rows.sum() * scale, (logits,), backward)
 
 
 def gradients(loss: Tensor, leaves) -> list[np.ndarray]:

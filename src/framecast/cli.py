@@ -369,12 +369,16 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
         tokenizer, _ = Tokenizer.load(tok_path)
         events = read_events(manifest)
         if events:
-            lines += ["", "end to end (tokenize + rollout + detokenize), single event:"]
+            lines += ["", "end to end (tokenize + rollout + detokenize), single event, "
+                      "median of 5 calls after 1 warm-up call:"]
             for label, model in (("frame", frame_model), ("token", token_model)):
-                t0 = time.perf_counter()
-                _forecast_event(cfg, tokenizer, model, events[0])
-                elapsed = time.perf_counter() - t0
-                lines.append(f"  {label} mode: {elapsed:.6f} s")
+                _forecast_event(cfg, tokenizer, model, events[0])  # untimed warm-up
+                samples = []
+                for _ in range(5):
+                    t0 = time.perf_counter()
+                    _forecast_event(cfg, tokenizer, model, events[0])
+                    samples.append(time.perf_counter() - t0)
+                lines.append(f"  {label} mode: {np.median(samples):.6f} s")
 
     out_path = report_dir / "benchmark.txt"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -91,6 +91,12 @@ class RunConfig:
             raise ConfigError("n_frames must leave at least one target frame")
         if self.data_max <= 0:
             raise ConfigError("data_max must be positive")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if min(self.tokenizer_steps, self.dynamics_steps) < 0:
+            raise ConfigError("tokenizer_steps and dynamics_steps must not be negative")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
 
     # ---- derived views -----------------------------------------------------
 

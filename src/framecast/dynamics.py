@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, cross_entropy_logits, layer_norm, parameter, softmax
 from .checkpoint import load_model, restore, save_model
 from .errors import ConfigError, HorizonError
-from .optim import Adam, warmup_lr
+from .optim import Adam, guarded_step, warmup_lr
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,8 @@ def dynamics_loss(model: DynamicsModel, batch: np.ndarray) -> Tensor:
         raise ValueError("need at least 2 frames for a prediction target")
     length, k = t * n, cfg.tokens_per_pass
     logits = model.forward(batch).reshape(b, length, cfg.vocab_size)
-    pred = logits.slice_axis(1, 0, length - k).reshape(b * (length - k), cfg.vocab_size)
-    targets = batch.reshape(b, length)[:, k:].reshape(-1)
-    return cross_entropy_logits(pred, targets)
+    targets = batch.reshape(b, length)[:, k:]
+    return cross_entropy_logits(logits.slice_axis(1, 0, length - k), targets)
 
 
 def _pick_tokens(logits: np.ndarray, temperature: float, rng) -> np.ndarray:
@@ -353,11 +352,9 @@ def train_dynamics(
     for local_step in range(train.steps):
         step = start_step + local_step + 1
         batch = data[rng.integers(0, data.shape[0], size=train.batch_size)]
-        loss = dynamics_loss(model, batch)
-        opt.zero_grad()
-        loss.backward()
-        opt.lr = warmup_lr(step, train.lr, train.warmup_steps)
-        opt.step()
+        with guarded_step(step):
+            loss = dynamics_loss(model, batch)
+            opt.update(loss, warmup_lr(step, train.lr, train.warmup_steps))
         log.append((step, opt.lr, loss.item()))
     return model, log
 

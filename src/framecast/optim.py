@@ -1,10 +1,14 @@
-"""Adam with bias correction and the linear warmup schedule."""
+"""Adam with bias correction, the linear warmup schedule and the guard
+both training loops run each step under."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 from .autodiff import Tensor
+from .errors import ConfigError
 
 
 def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:
@@ -46,6 +50,29 @@ class Adam:
             v_hat = self._v[i] / (1.0 - self.beta2**t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grad(self):
+    def update(self, loss: Tensor, lr: float) -> None:
+        """Backward from a finite scalar loss, then one step at lr.
+
+        A non-finite loss raises FloatingPointError before any parameter
+        moves.
+        """
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError(f"loss is {loss.item()}")
         for p in self.params:
             p.grad = None
+        loss.backward()
+        self.lr = lr
+        self.step()
+
+
+@contextmanager
+def guarded_step(step: int):
+    """Run one training step (forward, backward and update) under
+    np.errstate(over="raise"). An overflow in it, or a non-finite loss
+    refused by Adam.update, stops the run with a ConfigError naming the
+    step, before the caller writes anything."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"training diverged at step {step}: {exc}") from exc

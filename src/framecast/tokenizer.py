@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, parameter
 from .checkpoint import load_model, restore, save_model
 from .container import Container, ContainerError
-from .optim import Adam, warmup_lr
+from .optim import Adam, guarded_step, warmup_lr
 
 
 @dataclass(frozen=True)
@@ -256,17 +256,14 @@ def train_tokenizer(
         batch_idx = rng.integers(0, fields.shape[0], size=train.batch_size)
         batch = fields[batch_idx]
 
-        z_hat = tokenizer.encode(batch)
-        idx, z_q, st = tokenizer.straight_through(z_hat)
-        x_hat = tokenizer.decode(st)
-        total, recon, code, commit = vqvae_loss(
-            Tensor(batch), x_hat, z_hat, z_q, config.beta
-        )
-
-        opt.zero_grad()
-        total.backward()
-        opt.lr = warmup_lr(step, train.lr, train.warmup_steps)
-        opt.step()
+        with guarded_step(step):
+            z_hat = tokenizer.encode(batch)
+            idx, z_q, st = tokenizer.straight_through(z_hat)
+            x_hat = tokenizer.decode(st)
+            total, recon, code, commit = vqvae_loss(
+                Tensor(batch), x_hat, z_hat, z_q, config.beta
+            )
+            opt.update(total, warmup_lr(step, train.lr, train.warmup_steps))
 
         used[np.unique(idx)] = True
         if step % epoch_len == 0:

@@ -114,6 +114,23 @@ class TestTrainingCommands:
         text = (out / "reports" / "dynamics_frame_loss.csv").read_text()
         assert text.splitlines() == ["step,lr,loss"]
 
+    def test_zero_batch_size_is_config_error(self, workspace):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        cfg_path.write_text(cfg_path.read_text().replace("batch_size = 4", "batch_size = 0"))
+        assert run(cfg_path, out, "train-tokenizer") == 2
+
+    def test_overflowing_run_stops_before_writing(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        write_config(TINY.with_overrides(lr=1e30, warmup_steps=1), cfg_path)
+        assert run(cfg_path, out, "train-tokenizer") == 2
+        assert "diverged at step" in capsys.readouterr().err
+        assert not (out / "checkpoints" / "tokenizer.ckpt").exists()
+        assert not (out / "reports" / "tokenizer_loss.csv").exists()
+
     def test_resume_continues_step_counter(self, workspace):
         tmp_path, cfg_path = workspace
         out = tmp_path / "run"
@@ -254,6 +271,7 @@ class TestForecastAndEvaluate:
         assert "not reproduced here" in text
         assert "hardware:" in text
         assert "end to end" in text
+        assert "median of 5 calls after 1 warm-up call:" in text
 
     def test_benchmark_single_rep_std_undefined(self, trained):
         tmp_path, cfg_path, out = trained

@@ -22,6 +22,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(grid_h=30)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"tokenizer_steps": -2},
+            {"dynamics_steps": -1},
+            {"lr": -1.0},
+            {"lr": 0.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_unusable_training_values_rejected(self, override):
+        with pytest.raises(ConfigError):
+            RunConfig(**override)
+
     def test_derived_configs(self):
         cfg = RunConfig()
         tok = cfg.tokenizer_config()

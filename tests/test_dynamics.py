@@ -229,6 +229,13 @@ class TestLossAndTraining:
             losses.append([row[2] for row in log])
         assert losses[0] == losses[1]
 
+    def test_non_finite_loss_stops_training(self):
+        model = tiny_model(seed=3)
+        model.params["head.w"].data[0, 0] = np.nan
+        data = np.zeros((2, 3, TINY.tokens_per_frame), dtype=np.int64)
+        with pytest.raises(ConfigError, match="step 1: loss is nan"):
+            train_dynamics(model, data, DynamicsTrainConfig(steps=2, batch_size=2))
+
     def test_save_load_round_trip(self, tmp_path):
         model = tiny_model(seed=7)
         path = tmp_path / "dyn.ckpt"

@@ -1,15 +1,29 @@
 """Pinned bytes of every on-disk format (.evt, tokenizer and dynamics .ckpt,
-.tok) and of a full verification report."""
+.tok), of a full verification report, and of both models after three
+training steps."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 
 from framecast.checkpoint import save_checkpoint
-from framecast.dynamics import DynamicsConfig, DynamicsModel, save_dynamics
+from framecast.dynamics import (
+    DynamicsConfig,
+    DynamicsModel,
+    DynamicsTrainConfig,
+    save_dynamics,
+    train_dynamics,
+)
 from framecast.eventfile import write_event
 from framecast.fields import EventSequence
-from framecast.tokenizer import Tokenizer, TokenizerConfig, write_tokens
+from framecast.tokenizer import (
+    Tokenizer,
+    TokenizerConfig,
+    TokenizerTrainConfig,
+    train_tokenizer,
+    write_tokens,
+)
 from framecast.verification import (
     MetricReport,
     aggregate_over_seeds,
@@ -18,6 +32,10 @@ from framecast.verification import (
     stratify_by_percentile_bin,
 )
 
+TOKENIZER = TokenizerConfig(patch_size=4, n_codes=16, latent_dim=4, hidden_dim=8)
+DYNAMICS = DynamicsConfig(n_layers=1, n_heads=2, embed_dim=8, vocab_size=16,
+                          tokens_per_frame=4, max_frames=5, mode="token")
+
 
 def _write_all(tmp_path):
     rng = np.random.default_rng(2024)
@@ -25,16 +43,29 @@ def _write_all(tmp_path):
     event = EventSequence(frames, context_len=2, step_minutes=30, data_max=50.0, seed=7)
     write_event(event, tmp_path / "event.evt")
     write_event(EventSequence(frames[:2, :2, :4], context_len=1), tmp_path / "bare.evt")
-    Tokenizer(TokenizerConfig(patch_size=4, n_codes=16, latent_dim=4, hidden_dim=8), seed=3).save(
-        tmp_path / "tokenizer.ckpt", step=5
-    )
-    config = DynamicsConfig(n_layers=1, n_heads=2, embed_dim=8, vocab_size=16,
-                            tokens_per_frame=4, max_frames=5, mode="token")
-    save_dynamics(DynamicsModel(config, seed=4), tmp_path / "dynamics.ckpt", step=6)
+    Tokenizer(TOKENIZER, seed=3).save(tmp_path / "tokenizer.ckpt", step=5)
+    save_dynamics(DynamicsModel(DYNAMICS, seed=4), tmp_path / "dynamics.ckpt", step=6)
     params = {"w": rng.normal(size=(2, 3)).astype(np.float32), "s": np.float64(0.5)}
     save_checkpoint(tmp_path / "generic.ckpt", params, meta={"lr": 1e-4, "tag": "run"})
     write_tokens(tmp_path / "tokens.tok", rng.integers(0, 16, size=(3, 2, 2)), 16)
     _write_report(tmp_path / "evaluation.csv")
+    _write_trained(tmp_path)
+
+
+def _write_trained(tmp_path):
+    """Both models after three steps of their training loops, so the loss,
+    its gradient and the Adam update are pinned to the last bit."""
+    rng = np.random.default_rng(2026)
+    fields = rng.uniform(0, 1, size=(6, 8, 8))
+    tokenizer, _ = train_tokenizer(
+        fields, TOKENIZER, TokenizerTrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=5)
+    )
+    tokenizer.save(tmp_path / "tokenizer_trained.ckpt", step=3)
+    tokens = rng.integers(0, 16, size=(5, 3, 4))
+    train = DynamicsTrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=6)
+    for mode in ("frame", "token"):
+        model, _ = train_dynamics(DynamicsModel(replace(DYNAMICS, mode=mode), seed=4), tokens, train)
+        save_dynamics(model, tmp_path / f"dynamics_{mode}_trained.ckpt", step=3)
 
 
 def _write_report(path):
@@ -67,8 +98,8 @@ def _write_report(path):
 
 
 # SHA-256 of each file; a change here is a change of the on-disk format, which
-# breaks every .evt, .ckpt and .tok file already written, or of the rows, row
-# order or values of the verification report.
+# breaks every .evt, .ckpt and .tok file already written, of the rows, row
+# order or values of the verification report, or of the training trajectory.
 GOLDEN = {
     "event.evt": "7efaba1bb3360f3fafb0feab1b7a984fac498cf390f754bac5f96dab904e61d9",
     "tokenizer.ckpt": "97f07529ae3b1ad683368527a32bb5bc35949038dcd0ea0b81d9ce4d7ec54f5b",
@@ -77,6 +108,9 @@ GOLDEN = {
     "generic.ckpt": "514020f74e223089111ddde7021c1683e3b0a1dde96b7d6baee143a0934e3050",
     "tokens.tok": "85050ab1efa459444ea33ea0deeb408761c2a04f8090705f5e3873e05a29601f",
     "evaluation.csv": "bc79c21f18b26aee99678486509bc4b905da2bd06004781f5b1a7483e64a9248",
+    "tokenizer_trained.ckpt": "ede35434f0140e2f7fbfb50f316405cb8287ed70339ba223784cac0788d8a0b1",
+    "dynamics_frame_trained.ckpt": "a3fd72128170a232172670075ebcb9ce7bdde2f4fc134fbdc93a52eea978aabb",
+    "dynamics_token_trained.ckpt": "b24e6e446d9c1b7c374defc13cd1c61aae85adc747192c77ddd89cfd3195cf2a",
 }
 
 
