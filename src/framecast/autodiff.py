@@ -355,6 +355,10 @@ def gradients(loss: Tensor, leaves) -> list[np.ndarray]:
     return out
 
 
-def parameter(rng, shape, scale=0.02) -> Tensor:
-    """Gaussian-initialized trainable tensor."""
-    return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
+def init_params(layout: dict, seed: int) -> dict[str, Tensor]:
+    """Trainable tensors for a layout {name: (shape, init(rng, shape))}, drawn
+    in layout order from one rng seeded with seed."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: Tensor(init(rng, shape), requires_grad=True) for name, (shape, init) in layout.items()
+    }

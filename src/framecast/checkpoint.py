@@ -117,7 +117,8 @@ def load_model(path, config_type) -> tuple[object, dict[str, np.ndarray], int]:
     """Read a model checkpoint back as (config, arrays, step).
 
     The meta must hold exactly config_type's fields and step, each parsing
-    as its field's type; pass the arrays to ``restore`` once the model is built.
+    as its field's type; ``restore`` then checks the arrays against the
+    model's layout.
     """
     arrays, meta = load_checkpoint(path)
     kinds = {f.name: type(f.default) for f in fields(config_type)} | {"step": int}
@@ -130,18 +131,21 @@ def load_model(path, config_type) -> tuple[object, dict[str, np.ndarray], int]:
         raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
 
 
-def restore(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Load arrays into a model's parameters; names, shapes and the float64
-    dtype must match exactly."""
-    _check_names("parameter", params, arrays)
-    for name, tensor in params.items():
-        if arrays[name].shape != tensor.data.shape:
+def restore(layout: dict, arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Trainable tensors over a checkpoint's arrays, in layout order.
+
+    layout maps each parameter name to (shape, init), as the model's seeded
+    init uses it; names, shapes and the float64 dtype must match exactly.
+    """
+    _check_names("parameter", layout, arrays)
+    for name, (shape, _) in layout.items():
+        if arrays[name].shape != shape:
             raise CheckpointError(f"parameter {name!r} has shape {arrays[name].shape}, "
-                                  f"the model expects {tensor.data.shape}")
+                                  f"the model expects {shape}")
         if arrays[name].dtype != np.float64:
             raise CheckpointError(f"parameter {name!r} is {arrays[name].dtype}, "
                                   "the model expects float64")
-        tensor.data = arrays[name]
+    return {name: Tensor(arrays[name], requires_grad=True) for name in layout}
 
 
 def _check_names(what: str, expected, found) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy_logits, layer_norm, parameter, softmax
+from .autodiff import Tensor, cross_entropy_logits, init_params, layer_norm, softmax
 from .checkpoint import load_model, restore, save_model
 from .errors import ConfigError, HorizonError
 from .optim import Adam, guarded_step, warmup_lr
@@ -104,47 +104,54 @@ class DynamicsConfig:
         return self.tokens_per_frame if self.mode == "frame" else 1
 
 
+def _layout(config: DynamicsConfig) -> dict:
+    """Each parameter's (shape, init(rng, shape)), in the seeded init's draw order."""
+    d = config.embed_dim
+    hidden = config.mlp_ratio * d
+
+    def gauss(rng, shape):
+        return rng.normal(0.0, 0.02, size=shape)
+
+    def ones(rng, shape):
+        return np.ones(shape)
+
+    def zeros(rng, shape):
+        return np.zeros(shape)
+
+    layout = {
+        "tok_emb": ((config.vocab_size, d), gauss),
+        "pos_spatial": ((config.tokens_per_frame, d), gauss),
+        "pos_temporal": ((config.max_frames, d), gauss),
+        "ln_f.g": ((d,), ones),
+        "ln_f.b": ((d,), zeros),
+        "head.w": ((d, config.vocab_size), gauss),
+    }
+    for layer in range(config.n_layers):
+        prefix = f"l{layer}."
+        layout[prefix + "ln1.g"] = ((d,), ones)
+        layout[prefix + "ln1.b"] = ((d,), zeros)
+        for name in ("wq", "wk", "wv", "wo"):
+            layout[prefix + "attn." + name] = ((d, d), gauss)
+        for name in ("bq", "bk", "bv", "bo"):
+            layout[prefix + "attn." + name] = ((d,), zeros)
+        layout[prefix + "ln2.g"] = ((d,), ones)
+        layout[prefix + "ln2.b"] = ((d,), zeros)
+        layout[prefix + "mlp.w1"] = ((d, hidden), gauss)
+        layout[prefix + "mlp.b1"] = ((hidden,), zeros)
+        layout[prefix + "mlp.w2"] = ((hidden, d), gauss)
+        layout[prefix + "mlp.b2"] = ((d,), zeros)
+    return layout
+
+
 class DynamicsModel:
     """Pre-LN transformer over token grids with a per-call forward counter."""
 
     def __init__(self, config: DynamicsConfig, seed: int = 0):
+        self._adopt(config, init_params(_layout(config), seed))
+
+    def _adopt(self, config: DynamicsConfig, params: dict[str, Tensor]) -> None:
         self.config = config
         self.forward_calls = 0
-        rng = np.random.default_rng(seed)
-        d = config.embed_dim
-        hidden = config.mlp_ratio * d
-
-        def gauss(shape, scale=0.02):
-            return parameter(rng, shape, scale=scale)
-
-        def ones(shape):
-            return Tensor(np.ones(shape), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        params = {
-            "tok_emb": gauss((config.vocab_size, d)),
-            "pos_spatial": gauss((config.tokens_per_frame, d)),
-            "pos_temporal": gauss((config.max_frames, d)),
-            "ln_f.g": ones(d),
-            "ln_f.b": zeros(d),
-            "head.w": gauss((d, config.vocab_size)),
-        }
-        for layer in range(config.n_layers):
-            prefix = f"l{layer}."
-            params[prefix + "ln1.g"] = ones(d)
-            params[prefix + "ln1.b"] = zeros(d)
-            for name in ("wq", "wk", "wv", "wo"):
-                params[prefix + "attn." + name] = gauss((d, d))
-            for name in ("bq", "bk", "bv", "bo"):
-                params[prefix + "attn." + name] = zeros(d)
-            params[prefix + "ln2.g"] = ones(d)
-            params[prefix + "ln2.b"] = zeros(d)
-            params[prefix + "mlp.w1"] = gauss((d, hidden))
-            params[prefix + "mlp.b1"] = zeros(hidden)
-            params[prefix + "mlp.w2"] = gauss((hidden, d))
-            params[prefix + "mlp.b2"] = zeros(d)
         self.params: dict[str, Tensor] = params
 
     # ---- forward ----------------------------------------------------------
@@ -364,9 +371,10 @@ def save_dynamics(model: DynamicsModel, path, step: int = 0) -> None:
 
 
 def load_dynamics(path) -> tuple[DynamicsModel, int]:
+    """Build the model straight from the checkpoint's arrays; nothing is drawn."""
     config, arrays, step = load_model(path, DynamicsConfig)
-    model = DynamicsModel(config, seed=0)
-    restore(model.params, arrays)
+    model = DynamicsModel.__new__(DynamicsModel)
+    model._adopt(config, restore(_layout(config), arrays))
     return model, step
 
 

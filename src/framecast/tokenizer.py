@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor, init_params
 from .checkpoint import load_model, restore, save_model
 from .container import Container, ContainerError
 from .optim import Adam, guarded_step, warmup_lr
@@ -45,15 +45,88 @@ def init_codebook(n_codes, latent_dim, rng) -> Tensor:
     return Tensor(entries, requires_grad=True)
 
 
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u / (1 - n u), rounded up."""
+    return float(np.nextafter(n * u / (1.0 - n * u), np.inf))
+
+
 def nearest_code_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Index of the closest codebook row for each vector (ties: lowest index).
 
-    Distances are computed as explicit squared differences so results agree
-    exactly with a per-entry scan.
+    The result equals the argmin of the explicit scan
+    ``((vectors[:, None] - entries[None]) ** 2).sum(-1)`` bit for bit, ties
+    and non-finite inputs included, but the (M, K, D) difference tensor is
+    never built. One matmul screens the codes, and only the candidates it
+    cannot rule out are scored with the scan's own expression.
+
+    Screen. With a = |z|^2, b = |e|^2 and c = z.e, the exact distance is
+    d = a - 2c + b. Each of a, b and c is a sum of D products, so its
+    computed value is off by at most gamma_D times a, b or |z||e| (any
+    summation order, FMA or not; Cauchy-Schwarz for c); gamma_n = n u /
+    (1 - n u) and u is the unit roundoff (2^-53 in float64). Two more
+    roundings form g = (a - 2c) + b, so
+
+        |g - d| <= gamma_{D+2} (|z| + |e|)^2.
+
+    A product that underflows is off by at most half the smallest
+    subnormal s (sums and differences that underflow are exact), so the
+    D products in each of a and b and the D doubled ones in 2c add at
+    most 2Ds. The bound used is eps = gamma_{D+3} (|z| + |e|)^2 + (4D + 8)s;
+    the extra gamma_1 and the spare multiples of s cover the roundings
+    made in forming eps itself.
+
+    Candidates. The scan's distance r = sum((z - e)^2) is D squares of
+    exact-or-rounded differences summed in some order, so
+    |r - d| <= gamma_{D+2} d + A, with A <= Ds/2 from squares that underflow.
+    Let U = min_j (g_j + eps_j), reached at code k, and let j* be any code
+    with the minimal scan distance r*. Then d_k <= U and
+
+        d_{j*} <= (r* + A) / (1 - gamma_{D+2}) <= (r_k + A) / (1 - gamma_{D+2})
+               <= ((1 + gamma_{D+2}) U + 2A) / (1 - gamma_{D+2}),
+
+    while g_{j*} - eps_{j*} <= d_{j*}. So every minimal code passes the test
+    g_j - eps_j <= T, with T the right-hand side. The code forms T with
+    gamma_{D+8} in place of gamma_{D+2} and (D + 2)s for 2A: the ratio
+    (1 + gamma) / (1 - gamma) grows by about 12u, which covers the at most
+    seven roundings in forming g - eps, g + eps and T. These slack
+    arguments hold for D < 10^7. If r_k overflows, d_k is itself near the
+    largest float, so T still exceeds d_{j*}; if every r_j overflows, every
+    score below is inf and argmin returns 0, as the scan does.
+
+    Non-finite values. A pair whose g, eps or T is NaN or inf is never
+    ruled out (the test is written as ``not (lower > T)``), and min()
+    propagates NaN, so a row holding a NaN or inf vector, or meeting a NaN
+    code, keeps every code and gets the scan's index, NaN-first argmin
+    included. The screen runs with floating-point warnings off because
+    those cases are handled this way.
+
+    Recheck. Candidate pairs are scored with the scan's expression, whose
+    per-pair sum over the contiguous last axis rounds exactly as the
+    scan's does; every other score is inf, so argmin over each row still
+    takes the lowest of the minimal indices. Temporaries are O(M K) for
+    the screen and O(candidates D) for the recheck; on typical inputs
+    about one code per vector survives.
     """
-    diff = vectors[:, None, :] - entries[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    return d2.argmin(axis=1).astype(np.int32)
+    m, dim = vectors.shape
+    info = np.finfo(np.result_type(vectors, entries))
+    u, s = info.eps / 2, info.smallest_subnormal
+    with np.errstate(all="ignore"):
+        a = np.einsum("ij,ij->i", vectors, vectors)
+        b = np.einsum("ij,ij->i", entries, entries)
+        g = (a[:, None] - 2.0 * (vectors @ entries.T)) + b
+        eps = np.sqrt(a)[:, None] + np.sqrt(b)
+        eps *= eps
+        eps *= _gamma(dim + 3, u)
+        eps += (4 * dim + 8) * s
+        upper = (g + eps).min(axis=1)
+        gamma = _gamma(dim + 8, u)
+        bound = upper * ((1.0 + gamma) / (1.0 - gamma)) + (dim + 2) * s / (1.0 - gamma)
+        g -= eps
+        rows, cols = np.nonzero(~(g > bound[:, None]))
+    diff = vectors[rows] - entries[cols]
+    scores = np.full((m, entries.shape[0]), np.inf)
+    scores[rows, cols] = (diff * diff).sum(axis=-1)
+    return scores.argmin(axis=1).astype(np.int32)
 
 
 def quantize(z_hat: np.ndarray, codebook: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,33 +177,43 @@ def _patchify(fields: np.ndarray, patch: int) -> np.ndarray:
     return out.reshape(b, hp * wp, patch * patch)
 
 
+def _layout(config: TokenizerConfig) -> dict:
+    """Each parameter's (shape, init(rng, shape)), in the seeded init's draw order."""
+    p2 = config.patch_size * config.patch_size
+    h, d = config.hidden_dim, config.latent_dim
+
+    def gauss(scale):
+        # a zero-scale bias still draws from the rng, and the seeded bytes depend on it
+        return lambda rng, shape: rng.normal(0.0, scale, size=shape)
+
+    weight, bias = gauss(0.05), gauss(0.0)
+    return {
+        "enc.proj.w": ((p2, h), weight),
+        "enc.proj.b": ((h,), bias),
+        "enc.fc1.w": ((h, h), weight),
+        "enc.fc1.b": ((h,), bias),
+        "enc.fc2.w": ((h, d), weight),
+        "enc.fc2.b": ((d,), bias),
+        "dec.fc1.w": ((d, h), weight),
+        "dec.fc1.b": ((h,), bias),
+        "dec.fc2.w": ((h, h), weight),
+        "dec.fc2.b": ((h,), bias),
+        "dec.out.w": ((h, p2), weight),
+        "dec.out.b": ((p2,), lambda rng, shape: np.full(shape, 0.5)),
+        "codebook": ((config.n_codes, d), lambda rng, shape: init_codebook(*shape, rng).data),
+    }
+
+
 class Tokenizer:
     """Patch encoder, codebook, and mirrored decoder."""
 
     def __init__(self, config: TokenizerConfig, seed: int = 0):
+        self._adopt(config, init_params(_layout(config), seed))
+
+    def _adopt(self, config: TokenizerConfig, params: dict[str, Tensor]) -> None:
         self.config = config
-        rng = np.random.default_rng(seed)
-        p2 = config.patch_size * config.patch_size
-        h, d = config.hidden_dim, config.latent_dim
-
-        def param(shape, scale=0.05):
-            return parameter(rng, shape, scale=scale)
-
-        self.params: dict[str, Tensor] = {
-            "enc.proj.w": param((p2, h)),
-            "enc.proj.b": param((h,), scale=0.0),
-            "enc.fc1.w": param((h, h)),
-            "enc.fc1.b": param((h,), scale=0.0),
-            "enc.fc2.w": param((h, d)),
-            "enc.fc2.b": param((d,), scale=0.0),
-            "dec.fc1.w": param((d, h)),
-            "dec.fc1.b": param((h,), scale=0.0),
-            "dec.fc2.w": param((h, h)),
-            "dec.fc2.b": param((h,), scale=0.0),
-            "dec.out.w": param((h, p2)),
-            "dec.out.b": Tensor(np.full(p2, 0.5), requires_grad=True),
-        }
-        self.codebook = init_codebook(config.n_codes, d, rng)
+        self.codebook = params.pop("codebook")
+        self.params: dict[str, Tensor] = params
 
     # ---- model surface -----------------------------------------------------
 
@@ -211,9 +294,10 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path) -> tuple["Tokenizer", int]:
+        """Build the model straight from the checkpoint's arrays; nothing is drawn."""
         config, arrays, step = load_model(path, TokenizerConfig)
-        tok = cls(config, seed=0)
-        restore(tok.trainable(), arrays)
+        tok = cls.__new__(cls)
+        tok._adopt(config, restore(_layout(config), arrays))
         return tok, step
 
 

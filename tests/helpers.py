@@ -26,3 +26,16 @@ def max_relative_error(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def scan_nearest_code_indices(vectors, entries):
+    """Nearest codebook row per vector by the explicit (M, K, D) scan.
+
+    The reference rule for ``tokenizer.nearest_code_indices``: squared
+    differences summed over the last axis, argmin with ties (and NaN) going
+    to the lowest index.
+    """
+    with np.errstate(all="ignore"):
+        diff = vectors[:, None, :] - entries[None, :, :]
+        d2 = (diff * diff).sum(axis=-1)
+    return d2.argmin(axis=1).astype(np.int32)

@@ -5,8 +5,8 @@ from framecast.autodiff import (
     Tensor,
     cross_entropy_logits,
     gradients,
+    init_params,
     layer_norm,
-    parameter,
     set_finite_checks,
     softmax,
 )
@@ -269,5 +269,10 @@ class TestComposite:
         assert np.array_equal(g1, g2)
 
     def test_parameter_factory(self):
-        p = parameter(np.random.default_rng(0), (3, 4))
-        assert p.requires_grad and p.shape == (3, 4)
+        layout = {"w": ((3, 4), lambda rng, shape: rng.normal(size=shape)),
+                  "b": ((4,), lambda rng, shape: np.zeros(shape))}
+        params = init_params(layout, seed=0)
+        assert list(params) == ["w", "b"]
+        assert all(p.requires_grad for p in params.values())
+        assert params["w"].shape == (3, 4) and not params["b"].data.any()
+        assert np.array_equal(params["w"].data, np.random.default_rng(0).normal(size=(3, 4)))

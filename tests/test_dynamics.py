@@ -246,6 +246,19 @@ class TestLossAndTraining:
         for name in model.params:
             assert np.array_equal(back.params[name].data, model.params[name].data)
 
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=7)
+        path = tmp_path / "dyn.ckpt"
+        save_dynamics(model, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("loading drew from an rng")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back, _ = load_dynamics(path)
+        assert list(back.params) == list(model.params)
+        assert back.forward_calls == 0
+
     def test_twelve_layer_round_trip(self, tmp_path):
         model = tiny_model(seed=7, n_layers=12)
         path = tmp_path / "deep.ckpt"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from framecast.tokenizer import (
     TokenizerConfig,
     TokenizerTrainConfig,
     init_codebook,
+    nearest_code_indices,
     quantize,
     read_tokens,
     train_tokenizer,
@@ -18,7 +21,7 @@ from framecast.tokenizer import (
     write_tokens,
 )
 
-from helpers import central_difference, max_relative_error
+from helpers import central_difference, max_relative_error, scan_nearest_code_indices
 
 TOY = TokenizerConfig(patch_size=4, n_codes=32, latent_dim=8, hidden_dim=16)
 
@@ -75,6 +78,120 @@ class TestQuantize:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             quantize(np.zeros((3, 4)), np.zeros((5, 3)))
+
+
+class TestScanOracle:
+    """nearest_code_indices against the explicit scan, index for index."""
+
+    def check(self, vectors, entries):
+        with np.errstate(invalid="ignore"):  # NaN/inf rows warn in the rescore, as in the scan
+            got = nearest_code_indices(vectors, entries)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, scan_nearest_code_indices(vectors, entries))
+
+    def test_random_shapes_and_magnitudes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(80):
+            k, dim, m = (int(rng.integers(lo, hi)) for lo, hi in ((2, 1025), (1, 65), (0, 301)))
+            scale = 10.0 ** rng.uniform(-150, 150)
+            entries = rng.normal(size=(k, dim)) * scale
+            if rng.random() < 0.5:  # duplicated codebook rows: exact ties
+                entries[rng.integers(0, k, size=k // 3)] = entries[rng.integers(0, k, size=k // 3)]
+            vectors = rng.normal(size=(m, dim)) * scale * rng.choice([1e-3, 1.0, 1e3])
+            if m and rng.random() < 0.5:  # vectors equal to a codebook row
+                rows = rng.integers(0, m, size=m // 2)
+                vectors[rows] = entries[rng.integers(0, k, size=rows.size)]
+            self.check(vectors, entries)
+
+    def test_extreme_magnitudes(self):
+        rng = np.random.default_rng(12)
+        for scale in (1e-150, 1e-160, 1e-170, 1e150):
+            entries = rng.normal(size=(64, 16)) * scale
+            self.check(rng.normal(size=(50, 16)) * scale, entries)
+            self.check(entries[::-1].copy(), entries)
+
+    def test_duplicate_rows_go_to_the_lowest_index(self):
+        rng = np.random.default_rng(13)
+        base = rng.normal(size=(8, 4))
+        entries = np.concatenate([base, base, base])
+        self.check(base, entries)
+        assert np.array_equal(nearest_code_indices(base, entries), np.arange(8))
+
+    def test_distances_one_ulp_apart(self):
+        # codes a few ulps apart: their scan distances tie or differ by one
+        # ulp, far inside the screen's error bound, so the recheck decides
+        rng = np.random.default_rng(14)
+        one_ulp = 0
+        for dim in (1, 3, 8, 32, 64):
+            base = rng.normal(size=dim)
+            entries = np.repeat(base[None], 256, axis=0)
+            comp = rng.integers(0, dim, size=256)
+            steps = rng.integers(-3, 4, size=256)
+            for j in range(256):
+                for _ in range(abs(steps[j])):
+                    entries[j, comp[j]] = np.nextafter(entries[j, comp[j]], np.inf * steps[j])
+            vectors = base + rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-3, 1, size=(40, 1))
+            diff = vectors[:, None, :] - entries[None, :, :]
+            d2 = (diff * diff).sum(axis=-1)
+            best = d2.min(axis=1, keepdims=True)
+            one_ulp += int(np.any(d2 == np.nextafter(best, np.inf), axis=1).sum())
+            self.check(vectors, entries)
+        assert one_ulp > 0
+
+    def test_distances_spread_across_the_screen_bound(self):
+        # relative gaps of 0 to ~400 ulps put some codes inside the screen's
+        # bound and some just outside it
+        rng = np.random.default_rng(15)
+        u = np.finfo(np.float64).eps / 2
+        for dim in (1, 4, 16, 64):
+            direction = rng.normal(size=dim)
+            entries = direction * (1.0 + u * rng.integers(0, 200, size=(512, 1)))
+            vectors = np.concatenate([np.zeros((1, dim)), rng.normal(size=(20, dim)) * 1e-9])
+            self.check(vectors, entries)
+
+    def test_large_common_offset(self):
+        # the norm expansion cancels badly here, so a plain GEMM argmin is
+        # wrong on most rows; the result must still be the scan's
+        rng = np.random.default_rng(16)
+        entries = 1e6 + rng.normal(size=(128, 8)) * 1e-4
+        vectors = 1e6 + rng.normal(size=(60, 8)) * 1e-4
+        norms = (vectors**2).sum(1)[:, None] + (entries**2).sum(1)
+        naive = (norms - 2 * vectors @ entries.T).argmin(1)
+        assert np.any(naive != scan_nearest_code_indices(vectors, entries))
+        self.check(vectors, entries)
+
+    def test_non_finite_vectors_get_the_scan_index(self):
+        rng = np.random.default_rng(17)
+        entries = rng.normal(size=(32, 6))
+        vectors = rng.normal(size=(12, 6))
+        vectors[0] = np.nan
+        vectors[1, 2] = np.nan
+        vectors[2] = np.inf
+        vectors[3, 0] = -np.inf
+        vectors[4, :2] = np.inf, -np.inf
+        vectors[5] = entries[7]
+        vectors[5, 3] = np.inf
+        self.check(vectors, entries)
+        entries[9, 1] = np.nan  # a NaN code: the scan's NaN-first argmin picks it
+        self.check(vectors, entries)
+        entries[9, 1] = np.inf
+        self.check(vectors, entries)
+
+    def test_empty_input(self):
+        assert nearest_code_indices(np.zeros((0, 3)), np.ones((4, 3))).shape == (0,)
+
+    def test_no_full_difference_tensor(self):
+        # the (M, K, D) scan needs 2 x 26 MB here; the screen needs O(M K)
+        rng = np.random.default_rng(18)
+        m, k, dim = 200, 512, 32
+        entries, vectors = rng.normal(size=(k, dim)), rng.normal(size=(m, dim))
+        tracemalloc.start()
+        try:
+            nearest_code_indices(vectors, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * k * dim * 8 / 4
 
 
 class TestCodebook:
@@ -252,6 +369,17 @@ class TestTraining:
         assert back.config == tok.config
         for k in tok.trainable():
             assert np.array_equal(back.trainable()[k].data, tok.trainable()[k].data)
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        path = tmp_path / "tok.ckpt"
+        Tokenizer(TOY, seed=8).save(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("loading drew from an rng")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back, _ = Tokenizer.load(path)
+        assert back.codebook.requires_grad and list(back.trainable())[-1] == "codebook"
 
     @pytest.mark.parametrize(
         "edit",
