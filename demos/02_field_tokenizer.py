@@ -9,7 +9,8 @@ codebook learned: reconstruction error, code usage, and the loss components
 import numpy as np
 
 from framecast import AdvectionParams, generate_advection_event, normalize, quantize
-from framecast.tokenizer import TokenizerConfig, TokenizerTrainConfig, train_tokenizer
+from framecast.optim import TrainConfig
+from framecast.tokenizer import TokenizerConfig, train_tokenizer
 
 DATA_MAX = 50.0
 
@@ -27,7 +28,7 @@ print()
 print("2. Train a toy tokenizer (4x4 patches -> 4x4 token grid, 64 codes)")
 print("------------------------------------------------------------------")
 config = TokenizerConfig(patch_size=4, n_codes=64, latent_dim=8, hidden_dim=32)
-train = TokenizerTrainConfig(steps=800, batch_size=8, lr=3e-3, warmup_steps=50, seed=0)
+train = TrainConfig(steps=800, batch_size=8, lr=3e-3, warmup_steps=50, seed=0)
 tokenizer, log = train_tokenizer(fields, config, train)
 for step in (1, 200, 400, 800):
     row = log[step - 1]

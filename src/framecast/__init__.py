@@ -56,6 +56,7 @@ from .verification import (
     contingency,
     csi,
     evaluate_catchments,
+    evaluate_runs,
     far,
     mae,
     mse,

@@ -20,7 +20,6 @@ from .config import RunConfig, load_config
 from .container import ContainerError
 from .dynamics import (
     DynamicsModel,
-    DynamicsTrainConfig,
     benchmark_decode,
     load_dynamics,
     rollout,
@@ -32,18 +31,11 @@ from .eventfile import read_event, read_events, write_event, write_manifest
 from .fields import EventSequence, denormalize, filter_events, normalize
 from .tokenizer import (
     Tokenizer,
-    TokenizerTrainConfig,
     train_tokenizer,
     write_loss_log,
     write_tokens,
 )
-from .verification import (
-    MetricReport,
-    aggregate_over_seeds,
-    evaluate_catchments,
-    stratify_by_lead_time,
-    stratify_by_percentile_bin,
-)
+from .verification import evaluate_runs
 
 # Published full-scale reference timings (seconds per batch) for context in
 # benchmark reports; desk-scale runs do not reproduce them.
@@ -76,6 +68,16 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
+def _check_pair(tokenizer: Tokenizer, tok_path: Path, model: DynamicsModel, dyn_path: Path) -> None:
+    """The dynamics model predicts ids into the tokenizer's codebook, so its
+    vocabulary must be exactly that codebook."""
+    if model.config.vocab_size != tokenizer.config.n_codes:
+        raise ConfigError(
+            f"dynamics {dyn_path} has vocab_size {model.config.vocab_size} but tokenizer "
+            f"{tok_path} has n_codes {tokenizer.config.n_codes}; they must be equal"
+        )
+
+
 def _load_dataset(data_dir: Path) -> list[EventSequence]:
     manifest = _require(data_dir / "manifest.txt", "gen-data")
     events = read_events(manifest)
@@ -88,13 +90,14 @@ def _load_dataset(data_dir: Path) -> list[EventSequence]:
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:
+    if args.n_events is not None:
+        cfg = cfg.with_overrides(n_events=args.n_events)
     data_dir, _, _ = _paths(cfg, args.out)
     data_dir.mkdir(parents=True, exist_ok=True)
-    n_events = cfg.n_events if args.n_events is None else args.n_events
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(max(n_events, 1), dtype=np.uint64)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(max(cfg.n_events, 1), dtype=np.uint64)
 
     events, paths = [], []
-    for i in range(n_events):
+    for i in range(cfg.n_events):
         params = AdvectionParams(
             velocity=(cfg.velocity_u, cfg.velocity_v),
             n_blobs=cfg.n_blobs,
@@ -128,7 +131,7 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
         data_dir / "manifest.txt",
         comment=f"events above the {cfg.filter_percentile:g}th percentile of mean rate",
     )
-    print(f"wrote {n_events} events, kept {len(kept_paths)} after filtering -> {data_dir}")
+    print(f"wrote {cfg.n_events} events, kept {len(kept_paths)} after filtering -> {data_dir}")
     return 0
 
 
@@ -143,15 +146,9 @@ def cmd_train_tokenizer(cfg: RunConfig, args) -> int:
     ckpt = _tokenizer_path(ckpt_dir)
     if args.resume and ckpt.exists():
         tokenizer, start_step = Tokenizer.load(ckpt)
-    train_cfg = TokenizerTrainConfig(
-        steps=cfg.tokenizer_steps,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        warmup_steps=cfg.warmup_steps,
-        seed=cfg.seed,
-    )
     tokenizer, log = train_tokenizer(
-        fields, cfg.tokenizer_config(), train_cfg, tokenizer=tokenizer, start_step=start_step
+        fields, cfg.tokenizer_config(), cfg.train_config(cfg.tokenizer_steps),
+        tokenizer=tokenizer, start_step=start_step,
     )
     tokenizer.save(ckpt, step=start_step + cfg.tokenizer_steps)
     write_loss_log(
@@ -169,7 +166,8 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     report_dir.mkdir(parents=True, exist_ok=True)
     mode = args.mode or cfg.mode
-    tokenizer, _ = Tokenizer.load(_require(_tokenizer_path(ckpt_dir), "train-tokenizer"))
+    tok_path = _require(_tokenizer_path(ckpt_dir), "train-tokenizer")
+    tokenizer, _ = Tokenizer.load(tok_path)
     events = _load_dataset(data_dir)
     tokens = np.stack([tokenizer.tokenize(normalize(e.frames, cfg.data_max)) for e in events])
     tokens = tokens.reshape(tokens.shape[0], tokens.shape[1], -1)  # (n, T, N)
@@ -180,14 +178,10 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
         model, start_step = load_dynamics(ckpt)
     if model is None:
         model = DynamicsModel(cfg.dynamics_config(mode), seed=cfg.seed)
-    train_cfg = DynamicsTrainConfig(
-        steps=cfg.dynamics_steps,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        warmup_steps=cfg.warmup_steps,
-        seed=cfg.seed,
+    _check_pair(tokenizer, tok_path, model, ckpt)
+    model, log = train_dynamics(
+        model, tokens, cfg.train_config(cfg.dynamics_steps), start_step=start_step
     )
-    model, log = train_dynamics(model, tokens, train_cfg, start_step=start_step)
     save_dynamics(model, ckpt, step=start_step + len(log))
     write_loss_log(report_dir / f"dynamics_{mode}_loss.csv", log, header=("step", "lr", "loss"))
     final = log[-1][2] if log else float("nan")
@@ -226,8 +220,11 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     _, ckpt_dir, report_dir = _paths(cfg, args.out)
     report_dir.mkdir(parents=True, exist_ok=True)
     mode = args.mode or cfg.mode
-    tokenizer, _ = Tokenizer.load(_require(_tokenizer_path(ckpt_dir), "train-tokenizer"))
-    model, _ = load_dynamics(_require(_dynamics_path(ckpt_dir, mode), "train-dynamics"))
+    tok_path = _require(_tokenizer_path(ckpt_dir), "train-tokenizer")
+    tokenizer, _ = Tokenizer.load(tok_path)
+    dyn_path = _require(_dynamics_path(ckpt_dir, mode), "train-dynamics")
+    model, _ = load_dynamics(dyn_path)
+    _check_pair(tokenizer, tok_path, model, dyn_path)
     event = read_event(args.event)
 
     out_event, pred_tokens = _forecast_event(cfg, tokenizer, model, event)
@@ -257,67 +254,28 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     if not obs_events:
         raise ConfigError(f"observation manifest {args.obs} lists no events")
 
-    per_seed_reports = []
-    for run_idx, pred_manifest in enumerate(args.pred):
+    preds = []
+    for pred_manifest in args.pred:
         pred_events = read_events(pred_manifest)
         if len(pred_events) != len(obs_events):
             raise ConfigError(
                 f"manifest length mismatch: {len(pred_events)} predictions in {pred_manifest} "
                 f"vs {len(obs_events)} observations in {args.obs}"
             )
-        seed_label = str(run_idx)
-        pred_targets, obs_targets = [], []
         for pred, obs in zip(pred_events, obs_events):
             if pred.target.shape != obs.target.shape:
                 raise ConfigError(
                     f"prediction target shape {pred.target.shape} does not match "
                     f"observation {obs.target.shape}"
                 )
-            pred_targets.append(pred.target.astype(np.float64))
-            obs_targets.append(obs.target.astype(np.float64))
+        preds.append(np.stack([e.target for e in pred_events], dtype=np.float64))
+    obs = np.stack([e.target for e in obs_events], dtype=np.float64)
 
-        horizon, _, width = obs_targets[0].shape
-        # pool events per lead: (horizon, n_events * H, W)
-        pooled_pred = np.stack(pred_targets, axis=1).reshape(horizon, -1, width)
-        pooled_obs = np.stack(obs_targets, axis=1).reshape(horizon, -1, width)
-
-        report = stratify_by_lead_time(
-            pooled_pred, pooled_obs, cfg.step_minutes, taus=taus, seed=seed_label
-        )
-        report.extend(
-            stratify_by_percentile_bin(
-                list(zip(pred_targets, obs_targets)),
-                step_minutes=cfg.step_minutes,
-                taus=taus,
-                seed=seed_label,
-            )
-        )
-        masks = _synthetic_catchments(cfg.grid_h, cfg.grid_w)
-        tiled_masks = {
-            name: np.tile(mask, (len(pred_targets), 1))
-            for name, mask in masks.items()
-        }
-        report.extend(
-            evaluate_catchments(
-                pooled_pred,
-                pooled_obs,
-                tiled_masks,
-                taus=taus,
-                step_minutes=cfg.step_minutes,
-                seed=seed_label,
-            )
-        )
-        per_seed_reports.append(report)
-
-    combined = MetricReport()
-    for report in per_seed_reports:
-        combined.extend(report)
-    if len(per_seed_reports) > 1:
-        combined.extend(aggregate_over_seeds(per_seed_reports))
-
+    masks = _synthetic_catchments(cfg.grid_h, cfg.grid_w)
+    report = evaluate_runs([(pred, obs) for pred in preds], masks, taus, cfg.step_minutes)
     out_csv = report_dir / (args.out_name or "evaluation.csv")
-    combined.to_csv(out_csv, comments=cfg.to_lines())
-    out_csv.with_suffix(".txt").write_text(combined.to_text(), encoding="utf-8")
+    report.to_csv(out_csv, comments=cfg.to_lines())
+    out_csv.with_suffix(".txt").write_text(report.to_text(), encoding="utf-8")
     print(f"evaluated {len(obs_events)} events x {len(args.pred)} runs -> {out_csv}")
     return 0
 
@@ -367,6 +325,8 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     manifest = data_dir / "manifest.txt"
     if tok_path.exists() and manifest.exists():
         tokenizer, _ = Tokenizer.load(tok_path)
+        for mode, model in (("frame", frame_model), ("token", token_model)):
+            _check_pair(tokenizer, tok_path, model, _dynamics_path(ckpt_dir, mode))
         events = read_events(manifest)
         if events:
             lines += ["", "end to end (tokenize + rollout + detokenize), single event, "

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .dynamics import DynamicsConfig
 from .errors import ConfigError
+from .optim import TrainConfig
 from .tokenizer import TokenizerConfig
 
 
@@ -87,6 +88,8 @@ class RunConfig:
                 f"grid/patch layout yields {n} tokens per frame, config says "
                 f"{self.tokens_per_frame}"
             )
+        if self.n_events < 0:
+            raise ConfigError(f"n_events must not be negative, got {self.n_events}")
         if self.n_frames < self.context_len + 1:
             raise ConfigError("n_frames must leave at least one target frame")
         if self.data_max <= 0:
@@ -118,6 +121,15 @@ class RunConfig:
             tokens_per_frame=self.tokens_per_frame,
             max_frames=self.max_frames,
             mode=mode or self.mode,
+        )
+
+    def train_config(self, steps: int) -> TrainConfig:
+        return TrainConfig(
+            steps=steps,
+            batch_size=self.batch_size,
+            lr=self.lr,
+            warmup_steps=self.warmup_steps,
+            seed=self.seed,
         )
 
     def with_overrides(self, **kwargs) -> "RunConfig":

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, cross_entropy_logits, init_params, layer_norm, softmax
 from .checkpoint import load_model, restore, save_model
 from .errors import ConfigError, HorizonError
-from .optim import Adam, guarded_step, warmup_lr
+from .optim import Adam, TrainConfig, guarded_step, warmup_lr
 
 
 @dataclass(frozen=True)
@@ -325,19 +325,10 @@ def rollout(
     return seq[0, t * n :].reshape(horizon, n).astype(np.int32)
 
 
-@dataclass(frozen=True)
-class DynamicsTrainConfig:
-    steps: int = 4000
-    batch_size: int = 8
-    lr: float = 1e-4
-    warmup_steps: int = 10000
-    seed: int = 0
-
-
 def train_dynamics(
     model: DynamicsModel,
     token_dataset: np.ndarray,
-    train: DynamicsTrainConfig,
+    train: TrainConfig,
     start_step: int = 0,
 ):
     """Teacher-forced training over tokenized events (n_events, T, N).

@@ -1,14 +1,26 @@
-"""Adam with bias correction, the linear warmup schedule and the guard
-both training loops run each step under."""
+"""Adam with bias correction, the linear warmup schedule, the settings
+both training loops share and the guard they run each step under."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Settings of one training run, for the tokenizer or the dynamics model."""
+
+    steps: int
+    batch_size: int = 8
+    lr: float = 1e-4
+    warmup_steps: int = 10000
+    seed: int = 0
 
 
 def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:

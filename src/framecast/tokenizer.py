@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, init_params
 from .checkpoint import load_model, restore, save_model
 from .container import Container, ContainerError
-from .optim import Adam, guarded_step, warmup_lr
+from .optim import Adam, TrainConfig, guarded_step, warmup_lr
 
 
 @dataclass(frozen=True)
@@ -301,19 +301,10 @@ class Tokenizer:
         return tok, step
 
 
-@dataclass(frozen=True)
-class TokenizerTrainConfig:
-    steps: int = 2000
-    batch_size: int = 8
-    lr: float = 1e-4
-    warmup_steps: int = 10000
-    seed: int = 0
-
-
 def train_tokenizer(
     fields: np.ndarray,
     config: TokenizerConfig,
-    train: TokenizerTrainConfig,
+    train: TrainConfig,
     tokenizer: Tokenizer | None = None,
     start_step: int = 0,
 ):

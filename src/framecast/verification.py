@@ -466,3 +466,33 @@ def aggregate_over_seeds(reports: list[MetricReport]) -> MetricReport:
         out.add(lead_minutes=lead, metric=metric, value=std_value,
                 threshold=threshold, stratum=stratum, seed="std")
     return out
+
+
+def evaluate_runs(runs, masks: dict[str, np.ndarray], taus, step_minutes: int) -> MetricReport:
+    """The full verification report over one or more seed runs.
+
+    runs holds one (pred, obs) pair per seed run, each a float64
+    (n_events, horizon, H, W) stack, and run i carries the seed label "i";
+    masks are (H, W). Each run emits its lead-time rows, with the events
+    pooled per lead into (horizon, n_events * H, W), then its percentile-bin
+    rows, then ROC AUC per mask, tiled over the pooled events. With more
+    than one run, the mean and std over runs follow.
+    """
+    reports = []
+    for i, (pred, obs) in enumerate(runs):
+        seed = str(i)
+        n_events, horizon, _, width = obs.shape
+        pooled_pred, pooled_obs = (a.swapaxes(0, 1).reshape(horizon, -1, width) for a in (pred, obs))
+        tiled = {name: np.tile(mask, (n_events, 1)) for name, mask in masks.items()}
+        report = stratify_by_lead_time(pooled_pred, pooled_obs, step_minutes, taus=taus, seed=seed)
+        report.extend(stratify_by_percentile_bin(list(zip(pred, obs)), step_minutes=step_minutes,
+                                                 taus=taus, seed=seed))
+        report.extend(evaluate_catchments(pooled_pred, pooled_obs, tiled, taus=taus,
+                                          step_minutes=step_minutes, seed=seed))
+        reports.append(report)
+    combined = MetricReport()
+    for report in reports:
+        combined.extend(report)
+    if len(reports) > 1:
+        combined.extend(aggregate_over_seeds(reports))
+    return combined

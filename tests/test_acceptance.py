@@ -19,7 +19,6 @@ from framecast.config import RunConfig, write_config
 from framecast.dynamics import (
     DynamicsConfig,
     DynamicsModel,
-    DynamicsTrainConfig,
     attention,
     benchmark_decode,
     build_block_causal_mask,
@@ -36,10 +35,10 @@ from framecast.fields import (
     rate_to_reflectivity,
     reflectivity_to_rate,
 )
+from framecast.optim import TrainConfig
 from framecast.tokenizer import (
     Tokenizer,
     TokenizerConfig,
-    TokenizerTrainConfig,
     quantize,
     train_tokenizer,
     vqvae_loss,
@@ -443,7 +442,7 @@ def _run_smoke_seed(seed):
         tokenizer, _ = train_tokenizer(
             fields,
             tok_cfg,
-            TokenizerTrainConfig(steps=250, batch_size=8, lr=3e-3, warmup_steps=50,
+            TrainConfig(steps=250, batch_size=8, lr=3e-3, warmup_steps=50,
                                  seed=seed + tok_steps),
             tokenizer=tokenizer,
             start_step=tok_steps,
@@ -469,7 +468,7 @@ def _run_smoke_seed(seed):
         model, log = train_dynamics(
             model,
             tokens,
-            DynamicsTrainConfig(steps=250, batch_size=8, lr=1.5e-3, warmup_steps=100,
+            TrainConfig(steps=250, batch_size=8, lr=1.5e-3, warmup_steps=100,
                                 seed=seed + 7 + dyn_steps),
             start_step=dyn_steps,
         )

@@ -10,9 +10,9 @@ from framecast.checkpoint import load_checkpoint, save_checkpoint
 from framecast.cli import main
 from framecast.config import RunConfig, write_config
 from framecast.dynamics import DynamicsModel, save_dynamics
-from framecast.eventfile import read_event, read_manifest
+from framecast.eventfile import read_event, read_events, read_manifest, write_manifest
 from framecast.tokenizer import Tokenizer
-from framecast.verification import MetricReport
+from framecast.verification import MetricReport, evaluate_runs
 
 TINY = RunConfig(
     seed=11,
@@ -68,6 +68,19 @@ class TestGenData:
         out = tmp_path / "run0"
         assert run(cfg_path, out, "gen-data", "--n-events", "0") == 0
         assert read_manifest(out / "data" / "manifest.txt") == []
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_negative_event_count_is_config_error(self, workspace, route):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        assert run(cfg_path, out, "gen-data") == 0
+        written = {name: (out / "data" / name).read_bytes() for name in ("manifest.txt", "events_all.txt")}
+        if route == "flag":
+            assert run(cfg_path, out, "gen-data", "--n-events", "-3") == 2
+        else:
+            cfg_path.write_text(cfg_path.read_text().replace("n_events = 10", "n_events = -3"))
+            assert run(cfg_path, out, "gen-data") == 2
+        assert {name: (out / "data" / name).read_bytes() for name in written} == written
 
     def test_same_seed_identical_files(self, workspace):
         tmp_path, cfg_path = workspace
@@ -263,6 +276,34 @@ class TestForecastAndEvaluate:
                    "--taus", taus) == 2
         assert "--taus" in capsys.readouterr().err
 
+    def test_evaluate_two_runs_of_one_manifest(self, workspace):
+        # the kept events in reverse order stand in for a prediction run
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        obs_manifest = out / "data" / "manifest.txt"
+        pred_manifest = out / "data" / "reversed.txt"
+        write_manifest(read_manifest(obs_manifest)[::-1], pred_manifest)
+        assert run(cfg_path, out, "evaluate", "--pred", str(pred_manifest), str(pred_manifest),
+                   "--obs", str(obs_manifest)) == 0
+        report = MetricReport.from_csv(out / "reports" / "evaluation.csv")
+
+        def series(seed):
+            return [(r.lead_minutes, r.metric, r.threshold, r.stratum, r.value)
+                    for r in report.select(seed=seed)]
+
+        assert series("0") and series("1") == series("0") == series("mean")
+        stds = [r.value for r in report.select(seed="std") if r.value is not None]
+        assert stds and all(v == 0.0 for v in stds)
+
+        pred, obs = (np.stack([e.target for e in read_events(m)], dtype=np.float64)
+                     for m in (pred_manifest, obs_manifest))
+        west = np.zeros((TINY.grid_h, TINY.grid_w), dtype=bool)
+        west[:, : TINY.grid_w // 2] = True
+        expected = evaluate_runs([(pred, obs), (pred, obs)], {"west": west, "east": ~west},
+                                 (1.0, 2.0, 8.0), TINY.step_minutes)
+        assert report.rows == expected.rows
+
     def test_benchmark_report(self, trained):
         tmp_path, cfg_path, out = trained
         assert run(cfg_path, out, "benchmark", "--reps", "3") == 0
@@ -331,6 +372,54 @@ class TestMismatchedCheckpoint:
         path.write_bytes(re.sub(rb"(param head.w f8 )[0-9,]+", rb"\g<1>" + dims, path.read_bytes()))
         assert run(cfg_path, out, "forecast", "--event", str(event)) == 4
         assert capsys.readouterr().err.startswith("I/O error")
+
+
+class TestMismatchedPair:
+    """A dynamics vocabulary that is not the tokenizer's codebook is a config
+    error (exit 2), raised before anything is written."""
+
+    @pytest.fixture()
+    def pair(self, workspace):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        ckpt = out / "checkpoints"
+        ckpt.mkdir()
+        Tokenizer(TINY.with_overrides(codebook_size=16).tokenizer_config(), seed=1).save(
+            ckpt / "tokenizer.ckpt")
+        for mode in ("frame", "token"):
+            save_dynamics(DynamicsModel(TINY.dynamics_config(mode), seed=1),
+                          ckpt / f"dynamics_{mode}.ckpt")
+        return cfg_path, out
+
+    def _refused(self, capsys, out, *checkpoints):
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert f"vocab_size {TINY.codebook_size}" in err and "n_codes 16" in err
+        for name in checkpoints:
+            assert str(out / "checkpoints" / name) in err
+        assert not (out / "reports").exists() or not any((out / "reports").iterdir())
+
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_forecast(self, pair, capsys, mode):
+        cfg_path, out = pair
+        event = read_manifest(out / "data" / "manifest.txt")[0]
+        assert run(cfg_path, out, "forecast", "--event", str(event), "--mode", mode) == 2
+        self._refused(capsys, out, "tokenizer.ckpt", f"dynamics_{mode}.ckpt")
+
+    def test_benchmark(self, pair, capsys):
+        cfg_path, out = pair
+        assert run(cfg_path, out, "benchmark", "--reps", "1") == 2
+        self._refused(capsys, out, "tokenizer.ckpt", "dynamics_frame.ckpt")
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["new", "resumed"])
+    def test_train_dynamics(self, pair, capsys, resume):
+        cfg_path, out = pair
+        path = out / "checkpoints" / "dynamics_frame.ckpt"
+        before = path.read_bytes()
+        assert run(cfg_path, out, "train-dynamics", *(["--resume"] if resume else [])) == 2
+        self._refused(capsys, out, "tokenizer.ckpt", "dynamics_frame.ckpt")
+        assert path.read_bytes() == before
 
 
 class TestExitCodes:

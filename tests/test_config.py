@@ -2,6 +2,7 @@ import pytest
 
 from framecast.config import RunConfig, load_config, parse_config_text, write_config
 from framecast.errors import ConfigError
+from framecast.optim import TrainConfig
 
 
 class TestRunConfig:
@@ -33,6 +34,7 @@ class TestRunConfig:
             {"lr": 0.0},
             {"lr": float("nan")},
             {"lr": float("inf")},
+            {"n_events": -1},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -46,6 +48,8 @@ class TestRunConfig:
         assert tok.patch_size == cfg.patch_size and tok.n_codes == cfg.codebook_size
         dyn = cfg.dynamics_config("token")
         assert dyn.mode == "token" and dyn.vocab_size == cfg.codebook_size
+        assert cfg.train_config(7) == TrainConfig(steps=7, batch_size=cfg.batch_size, lr=cfg.lr,
+                                                  warmup_steps=cfg.warmup_steps, seed=cfg.seed)
 
 
 class TestParsing:

@@ -8,7 +8,6 @@ from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoi
 from framecast.dynamics import (
     DynamicsConfig,
     DynamicsModel,
-    DynamicsTrainConfig,
     attention,
     benchmark_decode,
     build_block_causal_mask,
@@ -22,6 +21,7 @@ from framecast.dynamics import (
     train_dynamics,
 )
 from framecast.errors import ConfigError, HorizonError
+from framecast.optim import TrainConfig
 
 from helpers import central_difference, max_relative_error
 
@@ -209,7 +209,7 @@ class TestLossAndTraining:
         rng = np.random.default_rng(8)
         event = rng.integers(0, 16, size=(1, 4, 4))
         model = tiny_model(seed=5)
-        cfg = DynamicsTrainConfig(steps=400, batch_size=2, lr=3e-3, warmup_steps=20, seed=9)
+        cfg = TrainConfig(steps=400, batch_size=2, lr=3e-3, warmup_steps=20, seed=9)
         model, log = train_dynamics(model, event, cfg)
         assert log[-1][2] < 0.5 * log[0][2]
         # memorized next frame comes back under greedy decode
@@ -224,7 +224,7 @@ class TestLossAndTraining:
         for _ in range(2):
             model = tiny_model(seed=6)
             _, log = train_dynamics(
-                model, data, DynamicsTrainConfig(steps=20, batch_size=2, lr=1e-3, warmup_steps=5, seed=11)
+                model, data, TrainConfig(steps=20, batch_size=2, lr=1e-3, warmup_steps=5, seed=11)
             )
             losses.append([row[2] for row in log])
         assert losses[0] == losses[1]
@@ -234,7 +234,7 @@ class TestLossAndTraining:
         model.params["head.w"].data[0, 0] = np.nan
         data = np.zeros((2, 3, TINY.tokens_per_frame), dtype=np.int64)
         with pytest.raises(ConfigError, match="step 1: loss is nan"):
-            train_dynamics(model, data, DynamicsTrainConfig(steps=2, batch_size=2))
+            train_dynamics(model, data, TrainConfig(steps=2, batch_size=2))
 
     def test_save_load_round_trip(self, tmp_path):
         model = tiny_model(seed=7)

@@ -11,26 +11,19 @@ from framecast.checkpoint import save_checkpoint
 from framecast.dynamics import (
     DynamicsConfig,
     DynamicsModel,
-    DynamicsTrainConfig,
     save_dynamics,
     train_dynamics,
 )
 from framecast.eventfile import write_event
 from framecast.fields import EventSequence
+from framecast.optim import TrainConfig
 from framecast.tokenizer import (
     Tokenizer,
     TokenizerConfig,
-    TokenizerTrainConfig,
     train_tokenizer,
     write_tokens,
 )
-from framecast.verification import (
-    MetricReport,
-    aggregate_over_seeds,
-    evaluate_catchments,
-    stratify_by_lead_time,
-    stratify_by_percentile_bin,
-)
+from framecast.verification import evaluate_runs
 
 TOKENIZER = TokenizerConfig(patch_size=4, n_codes=16, latent_dim=4, hidden_dim=8)
 DYNAMICS = DynamicsConfig(n_layers=1, n_heads=2, embed_dim=8, vocab_size=16,
@@ -58,43 +51,31 @@ def _write_trained(tmp_path):
     rng = np.random.default_rng(2026)
     fields = rng.uniform(0, 1, size=(6, 8, 8))
     tokenizer, _ = train_tokenizer(
-        fields, TOKENIZER, TokenizerTrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=5)
+        fields, TOKENIZER, TrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=5)
     )
     tokenizer.save(tmp_path / "tokenizer_trained.ckpt", step=3)
     tokens = rng.integers(0, 16, size=(5, 3, 4))
-    train = DynamicsTrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=6)
+    train = TrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=6)
     for mode in ("frame", "token"):
         model, _ = train_dynamics(DynamicsModel(replace(DYNAMICS, mode=mode), seed=4), tokens, train)
         save_dynamics(model, tmp_path / f"dynamics_{mode}_trained.ckpt", step=3)
 
 
 def _write_report(path):
-    """The three stratifiers for two seed labels plus their aggregate, as
-    ``evaluate`` assembles them. Tau 100 lies above every value (undefined
-    csi, far, pod and auc rows), the top event falls in the gap above the
-    95th percentile, and the "void" catchment selects no pixel."""
+    """``evaluate``'s report for two seed runs, from ``evaluate_runs``. Tau
+    100 lies above every value (undefined csi, far, pod and auc rows), the
+    top event falls in the gap above the 95th percentile, and the "void"
+    catchment selects no pixel."""
     rng = np.random.default_rng(2025)
-    taus = (1.0, 4.0, 100.0)
     west = np.zeros((4, 6), dtype=bool)
     west[:, :3] = True
     masks = {"west": west, "east": ~west, "void": np.zeros((4, 6), dtype=bool)}
-    reports = []
-    for seed in ("0", "1"):
+    runs = []
+    for _ in range(2):
         obs = rng.uniform(0, 10, size=(12, 2, 4, 6)) * np.linspace(0.2, 1.0, 12)[:, None, None, None]
         pred = (obs + rng.normal(0, 1, size=obs.shape)).clip(0)
-        pooled_pred = np.concatenate(pred, axis=1)
-        pooled_obs = np.concatenate(obs, axis=1)
-        report = stratify_by_lead_time(pooled_pred, pooled_obs, 30, taus=taus, seed=seed)
-        report.extend(stratify_by_percentile_bin(list(zip(pred, obs)), step_minutes=30,
-                                                 taus=taus, seed=seed))
-        tiled = {name: np.tile(mask, (12, 1)) for name, mask in masks.items()}
-        report.extend(evaluate_catchments(pooled_pred, pooled_obs, tiled, taus=taus, seed=seed))
-        reports.append(report)
-    combined = MetricReport()
-    for report in reports:
-        combined.extend(report)
-    combined.extend(aggregate_over_seeds(reports))
-    combined.to_csv(path)
+        runs.append((pred, obs))
+    evaluate_runs(runs, masks, (1.0, 4.0, 100.0), 30).to_csv(path)
 
 
 # SHA-256 of each file; a change here is a change of the on-disk format, which

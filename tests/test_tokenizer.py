@@ -7,11 +7,11 @@ from framecast.advection import AdvectionParams, generate_advection_event
 from framecast.autodiff import Tensor
 from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from framecast.fields import normalize
+from framecast.optim import TrainConfig
 from framecast.tokenizer import (
     TokenFileError,
     Tokenizer,
     TokenizerConfig,
-    TokenizerTrainConfig,
     init_codebook,
     nearest_code_indices,
     quantize,
@@ -329,7 +329,7 @@ class TestTraining:
         tok_init = Tokenizer(TOY, seed=7)
         ref = {k: v.data.copy() for k, v in tok_init.trainable().items()}
         tok, log = train_tokenizer(
-            fields, TOY, TokenizerTrainConfig(steps=0, seed=7), tokenizer=tok_init
+            fields, TOY, TrainConfig(steps=0, seed=7), tokenizer=tok_init
         )
         assert log == []
         for k, v in tok.trainable().items():
@@ -341,14 +341,14 @@ class TestTraining:
             generate_advection_event(AdvectionParams(seed=s), 4, (8, 8)) for s in range(4)
         ]
         fields = normalize(np.concatenate([e.frames for e in events]), 40.0)
-        cfg = TokenizerTrainConfig(steps=500, batch_size=4, lr=3e-3, warmup_steps=50, seed=13)
+        cfg = TrainConfig(steps=500, batch_size=4, lr=3e-3, warmup_steps=50, seed=13)
         tok, log = train_tokenizer(fields, TOY, cfg)
         assert log[-1][2] < log[0][2]
         assert len(log) == 500
 
     def test_same_seed_same_checkpoint(self, tmp_path):
         fields = np.random.default_rng(14).uniform(size=(6, 8, 8))
-        cfg = TokenizerTrainConfig(steps=40, batch_size=4, lr=1e-3, warmup_steps=10, seed=21)
+        cfg = TrainConfig(steps=40, batch_size=4, lr=1e-3, warmup_steps=10, seed=21)
         tok_a, _ = train_tokenizer(fields, TOY, cfg)
         tok_b, _ = train_tokenizer(fields, TOY, cfg)
         pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -358,7 +358,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_tokenizer(np.zeros((0, 8, 8)), TOY, TokenizerTrainConfig(steps=1))
+            train_tokenizer(np.zeros((0, 8, 8)), TOY, TrainConfig(steps=1))
 
     def test_save_load_round_trip(self, tmp_path):
         tok = Tokenizer(TOY, seed=8)
