@@ -19,9 +19,8 @@ from .dynamics import (
     benchmark_decode,
     build_block_causal_mask,
     build_token_causal_mask,
-    decode_next_frame,
-    decode_next_frame_tokenwise,
     dynamics_loss,
+    forecast,
     load_dynamics,
     rollout,
     save_dynamics,

@@ -8,19 +8,9 @@ all gradient checks run at.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ConfigError
-
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Debug switch: verify every op output is finite (NaN/Inf hunting)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 def _unbroadcast(grad, shape):
@@ -43,8 +33,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
-        if _FINITE_CHECKS and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in tensor")
 
     # ---- construction helpers -------------------------------------------
 
@@ -286,8 +274,6 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
     masked = np.where(allowed, data, -np.inf)
     peak = masked.max(axis=axis, keepdims=True)
     dead = ~np.isfinite(peak)
-    if _FINITE_CHECKS and dead.any():
-        warnings.warn("softmax over a fully masked slice yields the all-zero sentinel")
     peak = np.where(dead, 0.0, peak)
     e = np.exp(masked - peak)
     denom = e.sum(axis=axis, keepdims=True)

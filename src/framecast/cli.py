@@ -21,14 +21,14 @@ from .container import ContainerError
 from .dynamics import (
     DynamicsModel,
     benchmark_decode,
+    forecast,
     load_dynamics,
-    rollout,
     save_dynamics,
     train_dynamics,
 )
 from .errors import ConfigError, DependencyError, HorizonError
 from .eventfile import read_event, read_events, write_event, write_manifest
-from .fields import EventSequence, denormalize, filter_events, normalize
+from .fields import EventSequence, filter_events, normalize
 from .tokenizer import (
     Tokenizer,
     train_tokenizer,
@@ -66,6 +66,16 @@ def _require(path: Path, stage: str) -> Path:
     if not path.exists():
         raise DependencyError(f"missing artifact {path}; run `{stage}` first")
     return path
+
+
+def _load_dynamics(path: Path, mode: str) -> tuple[DynamicsModel, int]:
+    """A dynamics checkpoint stored under a mode's name must hold that mode."""
+    model, step = load_dynamics(path)
+    if model.config.mode != mode:
+        raise ConfigError(
+            f"dynamics {path} is a {model.config.mode}-mode checkpoint, expected {mode} mode"
+        )
+    return model, step
 
 
 def _check_pair(tokenizer: Tokenizer, tok_path: Path, model: DynamicsModel, dyn_path: Path) -> None:
@@ -175,7 +185,7 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     ckpt = _dynamics_path(ckpt_dir, mode)
     model, start_step = None, 0
     if args.resume and ckpt.exists():
-        model, start_step = load_dynamics(ckpt)
+        model, start_step = _load_dynamics(ckpt, mode)
     if model is None:
         model = DynamicsModel(cfg.dynamics_config(mode), seed=cfg.seed)
     _check_pair(tokenizer, tok_path, model, ckpt)
@@ -189,31 +199,12 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _forecast_event(cfg: RunConfig, tokenizer: Tokenizer, model: DynamicsModel, event: EventSequence):
-    """Tokenize the event context, roll the dynamics forward, decode back.
-
-    Returns the forecast as an event (original context frames + predicted
-    target frames) plus the predicted token grids.
-    """
+def _context(cfg: RunConfig, event: EventSequence) -> np.ndarray:
     if event.n_frames < cfg.context_len:
         raise ConfigError(
             f"event has {event.n_frames} frames, fewer than context_len {cfg.context_len}"
         )
-    context_frames = event.frames[: cfg.context_len]
-    context_idx = tokenizer.tokenize(normalize(context_frames, cfg.data_max))  # (T_c, H', W')
-
-    predicted = rollout(model, context_idx.reshape(cfg.context_len, -1), cfg.horizon)
-    pred_idx = predicted.reshape(cfg.horizon, *context_idx.shape[1:])
-    pred_frames = denormalize(tokenizer.detokenize(pred_idx), cfg.data_max).astype(np.float32)
-
-    out_event = EventSequence(
-        np.concatenate([context_frames, pred_frames]),
-        context_len=cfg.context_len,
-        step_minutes=event.step_minutes,
-        data_max=cfg.data_max,
-        seed=event.seed,
-    )
-    return out_event, pred_idx
+    return event.frames[: cfg.context_len]
 
 
 def cmd_forecast(cfg: RunConfig, args) -> int:
@@ -223,11 +214,19 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     tok_path = _require(_tokenizer_path(ckpt_dir), "train-tokenizer")
     tokenizer, _ = Tokenizer.load(tok_path)
     dyn_path = _require(_dynamics_path(ckpt_dir, mode), "train-dynamics")
-    model, _ = load_dynamics(dyn_path)
+    model, _ = _load_dynamics(dyn_path, mode)
     _check_pair(tokenizer, tok_path, model, dyn_path)
     event = read_event(args.event)
+    context = _context(cfg, event)
 
-    out_event, pred_tokens = _forecast_event(cfg, tokenizer, model, event)
+    fields, pred_tokens = forecast(tokenizer, model, context, cfg.horizon, cfg.data_max)
+    out_event = EventSequence(
+        np.concatenate([context, fields.astype(np.float32)]),
+        context_len=cfg.context_len,
+        step_minutes=event.step_minutes,
+        data_max=cfg.data_max,
+        seed=event.seed,
+    )
     stem = Path(args.event).stem
     evt_path = report_dir / f"{stem}_{mode}_pred.evt"
     tok_path = report_dir / f"{stem}_{mode}_pred.tok"
@@ -281,18 +280,21 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig, args) -> int:
+    if args.horizon is not None:
+        cfg = cfg.with_overrides(horizon=args.horizon)
     data_dir, ckpt_dir, report_dir = _paths(cfg, args.out)
     report_dir.mkdir(parents=True, exist_ok=True)
-    frame_model, _ = load_dynamics(_require(_dynamics_path(ckpt_dir, "frame"), "train-dynamics --mode frame"))
-    token_model, _ = load_dynamics(_require(_dynamics_path(ckpt_dir, "token"), "train-dynamics --mode token"))
+    models = {}
+    for mode in ("frame", "token"):
+        path = _require(_dynamics_path(ckpt_dir, mode), f"train-dynamics --mode {mode}")
+        models[mode], _ = _load_dynamics(path, mode)
 
-    horizon = args.horizon or cfg.horizon
     rng = np.random.default_rng(cfg.seed)
     context = rng.integers(
         0, cfg.codebook_size, size=(cfg.context_len, cfg.tokens_per_frame)
     )
     report = benchmark_decode(
-        frame_model, token_model, context, horizon, repetitions=args.reps
+        models["frame"], models["token"], context, cfg.horizon, repetitions=args.reps
     )
 
     def fmt_std(value):
@@ -325,20 +327,21 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     manifest = data_dir / "manifest.txt"
     if tok_path.exists() and manifest.exists():
         tokenizer, _ = Tokenizer.load(tok_path)
-        for mode, model in (("frame", frame_model), ("token", token_model)):
+        for mode, model in models.items():
             _check_pair(tokenizer, tok_path, model, _dynamics_path(ckpt_dir, mode))
         events = read_events(manifest)
         if events:
+            frames = _context(cfg, events[0])
             lines += ["", "end to end (tokenize + rollout + detokenize), single event, "
                       "median of 5 calls after 1 warm-up call:"]
-            for label, model in (("frame", frame_model), ("token", token_model)):
-                _forecast_event(cfg, tokenizer, model, events[0])  # untimed warm-up
+            for mode, model in models.items():
+                forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)  # untimed warm-up
                 samples = []
                 for _ in range(5):
                     t0 = time.perf_counter()
-                    _forecast_event(cfg, tokenizer, model, events[0])
+                    forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)
                     samples.append(time.perf_counter() - t0)
-                lines.append(f"  {label} mode: {np.median(samples):.6f} s")
+                lines.append(f"  {mode} mode: {np.median(samples):.6f} s")
 
     out_path = report_dir / "benchmark.txt"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

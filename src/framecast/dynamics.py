@@ -19,7 +19,9 @@ import numpy as np
 from .autodiff import Tensor, cross_entropy_logits, init_params, layer_norm, softmax
 from .checkpoint import load_model, restore, save_model
 from .errors import ConfigError, HorizonError
+from .fields import denormalize, normalize
 from .optim import Adam, TrainConfig, guarded_step, warmup_lr
+from .tokenizer import Tokenizer
 
 
 @dataclass(frozen=True)
@@ -270,24 +272,6 @@ def _pick_tokens(logits: np.ndarray, temperature: float, rng) -> np.ndarray:
     return out.reshape(logits.shape[:-1])
 
 
-def decode_next_frame(
-    model: DynamicsModel, context_tokens: np.ndarray, temperature: float = 0.0, rng=None
-) -> np.ndarray:
-    """Predict all N tokens of the next frame with a single forward pass."""
-    if model.config.mode != "frame":
-        raise ConfigError("decode_next_frame needs a frame-mode model")
-    return rollout(model, context_tokens, 1, temperature, rng)[0]
-
-
-def decode_next_frame_tokenwise(
-    model: DynamicsModel, context_tokens: np.ndarray, temperature: float = 0.0, rng=None
-) -> np.ndarray:
-    """Predict the next frame one token at a time: N forward passes."""
-    if model.config.mode != "token":
-        raise ConfigError("decode_next_frame_tokenwise needs a token-mode model")
-    return rollout(model, context_tokens, 1, temperature, rng)[0]
-
-
 def rollout(
     model: DynamicsModel,
     context_tokens: np.ndarray,
@@ -323,6 +307,21 @@ def rollout(
             model.forward_flat(seq[:, :length]).data[0, -k:], temperature, rng
         )
     return seq[0, t * n :].reshape(horizon, n).astype(np.int32)
+
+
+def forecast(
+    tokenizer: Tokenizer, model: DynamicsModel, context_frames, horizon: int, data_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rain rates of the observed frames (T, H, W) -> the next `horizon` frames.
+
+    Tokenizes the normalized context, rolls the dynamics forward and decodes
+    the predicted ids back to rain rates. Returns (fields, ids): float64
+    (horizon, H, W) in the units of data_max, and int32 (horizon, H', W').
+    """
+    context = tokenizer.tokenize(normalize(context_frames, data_max))  # (T, H', W')
+    ids = rollout(model, context.reshape(context.shape[0], -1), horizon)
+    ids = ids.reshape(horizon, *context.shape[1:])
+    return denormalize(tokenizer.detokenize(ids), data_max), ids
 
 
 def train_dynamics(

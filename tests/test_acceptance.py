@@ -23,14 +23,13 @@ from framecast.dynamics import (
     benchmark_decode,
     build_block_causal_mask,
     build_token_causal_mask,
-    decode_next_frame,
     dynamics_loss,
+    forecast,
     train_dynamics,
 )
 from framecast.eventfile import read_event, write_event
 from framecast.fields import (
     EventSequence,
-    denormalize,
     normalize,
     rate_to_reflectivity,
     reflectivity_to_rate,
@@ -480,11 +479,7 @@ def _run_smoke_seed(seed):
     model_mse, persistence_mse = [], []
     for event in held_out:
         context = event.frames[:3]
-        z_hat = tokenizer.encode(normalize(context, DATA_MAX))
-        idx, _ = quantize(z_hat.data, tokenizer.codebook.data)
-        next_tokens = decode_next_frame(model, idx.reshape(3, -1))
-        z_q = tokenizer.codebook.data[next_tokens.reshape(idx.shape[1], idx.shape[2])]
-        predicted = denormalize(tokenizer.decode(z_q).data, DATA_MAX)
+        predicted = forecast(tokenizer, model, context, 1, DATA_MAX)[0][0]
         truth = event.frames[3].astype(np.float64)
         model_mse.append(float(((predicted - truth) ** 2).mean()))
         persistence = context[-1].astype(np.float64)

@@ -2,16 +2,18 @@
 
 import csv
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+from framecast import cli
 from framecast.checkpoint import load_checkpoint, save_checkpoint
 from framecast.cli import main
 from framecast.config import RunConfig, write_config
-from framecast.dynamics import DynamicsModel, save_dynamics
+from framecast.dynamics import DynamicsModel, forecast, load_dynamics, save_dynamics
 from framecast.eventfile import read_event, read_events, read_manifest, write_manifest
-from framecast.tokenizer import Tokenizer
+from framecast.tokenizer import Tokenizer, read_tokens
 from framecast.verification import MetricReport, evaluate_runs
 
 TINY = RunConfig(
@@ -192,6 +194,24 @@ class TestForecastAndEvaluate:
         assert frame_pred.frames.shape == token_pred.frames.shape
         assert frame_pred.context_len == token_pred.context_len
 
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_forecast_is_the_library_call(self, trained, mode):
+        _, cfg_path, out = trained
+        event_path = read_manifest(out / "data" / "manifest.txt")[0]
+        assert run(cfg_path, out, "forecast", "--event", str(event_path), "--mode", mode) == 0
+        stem = out / "reports" / f"{event_path.stem}_{mode}_pred"
+        tokenizer, _ = Tokenizer.load(out / "checkpoints" / "tokenizer.ckpt")
+        model, _ = load_dynamics(out / "checkpoints" / f"dynamics_{mode}.ckpt")
+        context = read_event(event_path).frames[: TINY.context_len]
+        fields, ids = forecast(tokenizer, model, context, TINY.horizon, TINY.data_max)
+        assert fields.dtype == np.float64 and ids.dtype == np.int32
+        target = read_event(stem.with_suffix(".evt")).target
+        assert target.dtype == np.float32
+        assert np.array_equal(target, fields.astype(np.float32))
+        tokens, n_codes = read_tokens(stem.with_suffix(".tok"))
+        assert n_codes == TINY.codebook_size
+        assert np.array_equal(tokens, ids)
+
     def test_event_shorter_than_context_is_config_error(self, trained, tmp_path):
         _, cfg_path, out = trained
         from framecast.eventfile import write_event
@@ -314,6 +334,26 @@ class TestForecastAndEvaluate:
         assert "end to end" in text
         assert "median of 5 calls after 1 warm-up call:" in text
 
+    def test_benchmark_horizon_reaches_both_sections(self, trained, monkeypatch):
+        _, cfg_path, out = trained
+        horizons = []
+
+        def spy(tokenizer, model, context, horizon, data_max):
+            horizons.append(horizon)
+            return forecast(tokenizer, model, context, horizon, data_max)
+
+        monkeypatch.setattr(cli, "forecast", spy)
+        assert run(cfg_path, out, "benchmark", "--reps", "1", "--horizon", "1") == 0
+        text = (out / "reports" / "benchmark.txt").read_text()
+        assert "# horizon = 1\n" in text and "horizon: 1 frames" in text
+        assert horizons == [1] * 12  # a warm-up and 5 timed calls per mode
+
+    def test_benchmark_zero_horizon_is_config_error(self, trained, capsys):
+        _, cfg_path, out = trained
+        assert run(cfg_path, out, "benchmark", "--reps", "1", "--horizon", "0") == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (out / "reports" / "benchmark.txt").exists()
+
     def test_benchmark_single_rep_std_undefined(self, trained):
         tmp_path, cfg_path, out = trained
         assert run(cfg_path, out, "benchmark", "--reps", "1") == 0
@@ -419,6 +459,53 @@ class TestMismatchedPair:
         before = path.read_bytes()
         assert run(cfg_path, out, "train-dynamics", *(["--resume"] if resume else [])) == 2
         self._refused(capsys, out, "tokenizer.ckpt", "dynamics_frame.ckpt")
+        assert path.read_bytes() == before
+
+
+class TestWrongModeCheckpoint:
+    """A dynamics checkpoint stored under the other mode's name is a config
+    error (exit 2), raised before anything is written."""
+
+    @pytest.fixture(params=["frame", "token"])
+    def swapped(self, request, workspace):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        ckpt = out / "checkpoints"
+        ckpt.mkdir()
+        Tokenizer(TINY.tokenizer_config(), seed=1).save(ckpt / "tokenizer.ckpt")
+        for mode in ("frame", "token"):
+            save_dynamics(DynamicsModel(TINY.dynamics_config(mode), seed=1),
+                          ckpt / f"dynamics_{mode}.ckpt")
+        mode = request.param
+        other = "token" if mode == "frame" else "frame"
+        shutil.copyfile(ckpt / f"dynamics_{other}.ckpt", ckpt / f"dynamics_{mode}.ckpt")
+        return cfg_path, out, mode, other
+
+    def _refused(self, capsys, out, mode, other):
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert str(out / "checkpoints" / f"dynamics_{mode}.ckpt") in err
+        assert f"{other}-mode" in err and f"expected {mode} mode" in err
+        assert not (out / "reports").exists() or not any((out / "reports").iterdir())
+
+    def test_forecast(self, swapped, capsys):
+        cfg_path, out, mode, other = swapped
+        event = read_manifest(out / "data" / "manifest.txt")[0]
+        assert run(cfg_path, out, "forecast", "--event", str(event), "--mode", mode) == 2
+        self._refused(capsys, out, mode, other)
+
+    def test_benchmark(self, swapped, capsys):
+        cfg_path, out, mode, other = swapped
+        assert run(cfg_path, out, "benchmark", "--reps", "1") == 2
+        self._refused(capsys, out, mode, other)
+
+    def test_resumed_train_dynamics(self, swapped, capsys):
+        cfg_path, out, mode, other = swapped
+        path = out / "checkpoints" / f"dynamics_{mode}.ckpt"
+        before = path.read_bytes()
+        assert run(cfg_path, out, "train-dynamics", "--mode", mode, "--resume") == 2
+        self._refused(capsys, out, mode, other)
         assert path.read_bytes() == before
 
 
