@@ -305,6 +305,13 @@ class TestStrictLoad:
 
 
 class TestDecode:
+    def test_frame_decode_counts_one_pass(self):
+        model = tiny_model(seed=8)
+        context = np.zeros((2, 4), dtype=int)
+        before = model.forward_calls
+        rollout(model, context, 1)
+        assert model.forward_calls == before + 1
+
     def test_frame_decode_deterministic(self):
         model = tiny_model(seed=9)
         context = np.random.default_rng(12).integers(0, 16, size=(3, 4))
@@ -322,18 +329,32 @@ class TestDecode:
         out = rollout(tiny_model(seed=13), np.zeros((2, 4), dtype=int), 0)
         assert out.shape == (0, 4)
 
+    def test_tokenwise_counts_n_passes(self):
+        model = tiny_model(mode="token", seed=10)
+        context = np.zeros((2, 4), dtype=int)
+        before = model.forward_calls
+        rollout(model, context, 1)
+        assert model.forward_calls == before + 4
+
+    def test_tokenwise_single_token_frame_matches_frame_decode_cost(self):
+        frame = tiny_model(seed=11, tokens_per_frame=1)
+        token = tiny_model(mode="token", seed=11, tokens_per_frame=1)
+        context = np.zeros((2, 1), dtype=int)
+        f0, t0 = frame.forward_calls, token.forward_calls
+        rollout(frame, context, 1)
+        rollout(token, context, 1)
+        assert frame.forward_calls - f0 == token.forward_calls - t0 == 1
+
     def test_rollout_pass_counts(self):
-        # a frame costs one pass in frame mode and N in token mode, so the
-        # two coincide at N = 1
-        for n in (4, 1):
-            for horizon in (1, 3):
-                frame = tiny_model(seed=14, tokens_per_frame=n)
-                token = tiny_model(mode="token", seed=14, tokens_per_frame=n)
-                context = np.zeros((2, n), dtype=int)
-                rollout(frame, context, horizon)
-                assert frame.forward_calls == horizon
-                rollout(token, context, horizon)
-                assert token.forward_calls == horizon * n
+        frame = tiny_model(seed=14)
+        token = tiny_model(mode="token", seed=14)
+        context = np.zeros((2, 4), dtype=int)
+        f0 = frame.forward_calls
+        rollout(frame, context, 3)
+        assert frame.forward_calls - f0 == 3
+        t0 = token.forward_calls
+        rollout(token, context, 3)
+        assert token.forward_calls - t0 == 3 * 4
 
     @pytest.mark.parametrize("mode", ["frame", "token"])
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (8,), (1, 2, 4)])
