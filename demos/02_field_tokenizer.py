@@ -10,7 +10,7 @@ import numpy as np
 
 from framecast import AdvectionParams, generate_advection_event, normalize, quantize
 from framecast.optim import TrainConfig
-from framecast.tokenizer import TokenizerConfig, train_tokenizer
+from framecast.tokenizer import Tokenizer, TokenizerConfig, train_tokenizer
 
 DATA_MAX = 50.0
 
@@ -29,7 +29,7 @@ print("2. Train a toy tokenizer (4x4 patches -> 4x4 token grid, 64 codes)")
 print("------------------------------------------------------------------")
 config = TokenizerConfig(patch_size=4, n_codes=64, latent_dim=8, hidden_dim=32)
 train = TrainConfig(steps=800, batch_size=8, lr=3e-3, warmup_steps=50, seed=0)
-tokenizer, log = train_tokenizer(fields, config, train)
+tokenizer, log = train_tokenizer(Tokenizer(config, seed=train.seed), fields, train)
 for step in (1, 200, 400, 800):
     row = log[step - 1]
     print(f"   step {row[0]:4d}: total {row[2]:8.3f} = recon {row[3]:8.3f} "

@@ -152,15 +152,15 @@ def cmd_train_tokenizer(cfg: RunConfig, args) -> int:
     events = _load_dataset(data_dir)
     fields = normalize(np.concatenate([e.frames for e in events]), cfg.data_max)
 
-    tokenizer, start_step = None, 0
     ckpt = _tokenizer_path(ckpt_dir)
     if args.resume and ckpt.exists():
         tokenizer, start_step = Tokenizer.load(ckpt)
+    else:
+        tokenizer, start_step = Tokenizer(cfg.tokenizer_config(), seed=cfg.seed), 0
     tokenizer, log = train_tokenizer(
-        fields, cfg.tokenizer_config(), cfg.train_config(cfg.tokenizer_steps),
-        tokenizer=tokenizer, start_step=start_step,
+        tokenizer, fields, cfg.train_config(cfg.tokenizer_steps), start_step=start_step
     )
-    tokenizer.save(ckpt, step=start_step + cfg.tokenizer_steps)
+    tokenizer.save(ckpt, step=start_step + len(log))
     write_loss_log(
         report_dir / "tokenizer_loss.csv",
         log,
@@ -183,11 +183,10 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     tokens = tokens.reshape(tokens.shape[0], tokens.shape[1], -1)  # (n, T, N)
 
     ckpt = _dynamics_path(ckpt_dir, mode)
-    model, start_step = None, 0
     if args.resume and ckpt.exists():
         model, start_step = _load_dynamics(ckpt, mode)
-    if model is None:
-        model = DynamicsModel(cfg.dynamics_config(mode), seed=cfg.seed)
+    else:
+        model, start_step = DynamicsModel(cfg.dynamics_config(mode), seed=cfg.seed), 0
     _check_pair(tokenizer, tok_path, model, ckpt)
     model, log = train_dynamics(
         model, tokens, cfg.train_config(cfg.dynamics_steps), start_step=start_step
@@ -270,7 +269,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         preds.append(np.stack([e.target for e in pred_events], dtype=np.float64))
     obs = np.stack([e.target for e in obs_events], dtype=np.float64)
 
-    masks = _synthetic_catchments(cfg.grid_h, cfg.grid_w)
+    masks = _synthetic_catchments(*obs.shape[-2:])
     report = evaluate_runs([(pred, obs) for pred in preds], masks, taus, cfg.step_minutes)
     out_csv = report_dir / (args.out_name or "evaluation.csv")
     report.to_csv(out_csv, comments=cfg.to_lines())
@@ -288,10 +287,21 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     for mode in ("frame", "token"):
         path = _require(_dynamics_path(ckpt_dir, mode), f"train-dynamics --mode {mode}")
         models[mode], _ = _load_dynamics(path, mode)
+    # the end-to-end section's inputs are loaded and checked before any timing
+    tok_path = _tokenizer_path(ckpt_dir)
+    manifest = data_dir / "manifest.txt"
+    frames = None
+    if tok_path.exists() and manifest.exists():
+        tokenizer, _ = Tokenizer.load(tok_path)
+        for mode, model in models.items():
+            _check_pair(tokenizer, tok_path, model, _dynamics_path(ckpt_dir, mode))
+        events = read_events(manifest)
+        if events:
+            frames = _context(cfg, events[0])
 
-    rng = np.random.default_rng(cfg.seed)
-    context = rng.integers(
-        0, cfg.codebook_size, size=(cfg.context_len, cfg.tokens_per_frame)
+    model_cfg = models["frame"].config  # benchmark_decode checks the token model matches it
+    context = np.random.default_rng(cfg.seed).integers(
+        0, model_cfg.vocab_size, size=(cfg.context_len, model_cfg.tokens_per_frame)
     )
     report = benchmark_decode(
         models["frame"], models["token"], context, cfg.horizon, repetitions=args.reps
@@ -323,25 +333,17 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     ]
     lines += [f"  {name}: {seconds}" for name, seconds in REFERENCE_TIMINGS]
 
-    tok_path = _tokenizer_path(ckpt_dir)
-    manifest = data_dir / "manifest.txt"
-    if tok_path.exists() and manifest.exists():
-        tokenizer, _ = Tokenizer.load(tok_path)
+    if frames is not None:
+        lines += ["", "end to end (tokenize + rollout + detokenize), single event, "
+                  "median of 5 calls after 1 warm-up call:"]
         for mode, model in models.items():
-            _check_pair(tokenizer, tok_path, model, _dynamics_path(ckpt_dir, mode))
-        events = read_events(manifest)
-        if events:
-            frames = _context(cfg, events[0])
-            lines += ["", "end to end (tokenize + rollout + detokenize), single event, "
-                      "median of 5 calls after 1 warm-up call:"]
-            for mode, model in models.items():
-                forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)  # untimed warm-up
-                samples = []
-                for _ in range(5):
-                    t0 = time.perf_counter()
-                    forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)
-                    samples.append(time.perf_counter() - t0)
-                lines.append(f"  {mode} mode: {np.median(samples):.6f} s")
+            forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)  # untimed warm-up
+            samples = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)
+                samples.append(time.perf_counter() - t0)
+            lines.append(f"  {mode} mode: {np.median(samples):.6f} s")
 
     out_path = report_dir / "benchmark.txt"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

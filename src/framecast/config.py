@@ -90,12 +90,15 @@ class RunConfig:
             )
         if self.n_events < 0:
             raise ConfigError(f"n_events must not be negative, got {self.n_events}")
+        if not 0.0 <= self.filter_percentile <= 100.0:
+            raise ConfigError(f"filter_percentile must be in [0, 100], got {self.filter_percentile}")
         if self.n_frames < self.context_len + 1:
             raise ConfigError("n_frames must leave at least one target frame")
         if self.data_max <= 0:
             raise ConfigError("data_max must be positive")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("batch_size", "warmup_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if min(self.tokenizer_steps, self.dynamics_steps) < 0:
             raise ConfigError("tokenizer_steps and dynamics_steps must not be negative")
         if not 0.0 < self.lr < float("inf"):

@@ -220,12 +220,6 @@ class Tokenizer:
     def trainable(self) -> dict[str, Tensor]:
         return {**self.params, "codebook": self.codebook}
 
-    def latent_grid_shape(self, height, width) -> tuple[int, int]:
-        p = self.config.patch_size
-        if height % p or width % p:
-            raise ValueError(f"grid {height}x{width} is not divisible by patch size {p}")
-        return height // p, width // p
-
     def encode(self, fields) -> Tensor:
         """Normalized fields (H, W) or (B, H, W) -> latents (..., H', W', dim).
 
@@ -235,8 +229,8 @@ class Tokenizer:
         single = arr.ndim == 2
         if single:
             arr = arr[None]
-        hp, wp = self.latent_grid_shape(arr.shape[1], arr.shape[2])
         patches = Tensor(_patchify(arr, self.config.patch_size))
+        hp, wp = (n // self.config.patch_size for n in arr.shape[1:])
         p = self.params
         h = (patches @ p["enc.proj.w"] + p["enc.proj.b"]).gelu()
         h = (h @ p["enc.fc1.w"] + p["enc.fc1.b"]).gelu()
@@ -302,10 +296,9 @@ class Tokenizer:
 
 
 def train_tokenizer(
+    tokenizer: Tokenizer,
     fields: np.ndarray,
-    config: TokenizerConfig,
     train: TrainConfig,
-    tokenizer: Tokenizer | None = None,
     start_step: int = 0,
 ):
     """Fit the tokenizer on normalized fields (N, H, W).
@@ -313,13 +306,13 @@ def train_tokenizer(
     Returns (tokenizer, log rows). Each log row is (step, lr, total, recon,
     codebook_term, commit_term). Codebook entries untouched for a full pass
     over the dataset are re-seeded to encoder outputs from the current batch.
+    The codebook size, latent width and beta are the tokenizer's own.
     """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.ndim != 3 or fields.shape[0] == 0:
         raise ValueError("training set must be a non-empty (N, H, W) array")
+    config = tokenizer.config
     rng = np.random.default_rng(train.seed)
-    if tokenizer is None:
-        tokenizer = Tokenizer(config, seed=train.seed)
     opt = Adam(tokenizer.trainable(), lr=train.lr)
     opt.step_count = start_step
 

@@ -439,11 +439,10 @@ def _run_smoke_seed(seed):
     tok_steps, recon_err = 0, np.inf
     while tok_steps < TOKENIZER_STEP_CAP:
         tokenizer, _ = train_tokenizer(
+            tokenizer,
             fields,
-            tok_cfg,
             TrainConfig(steps=250, batch_size=8, lr=3e-3, warmup_steps=50,
                                  seed=seed + tok_steps),
-            tokenizer=tokenizer,
             start_step=tok_steps,
         )
         tok_steps += 250

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from framecast import cli
+from framecast import cli, dynamics
 from framecast.checkpoint import load_checkpoint, save_checkpoint
 from framecast.cli import main
 from framecast.config import RunConfig, write_config
@@ -84,6 +84,15 @@ class TestGenData:
             assert run(cfg_path, out, "gen-data") == 2
         assert {name: (out / "data" / name).read_bytes() for name in written} == written
 
+    @pytest.mark.parametrize("value", ["150", "-1"])
+    def test_unusable_filter_percentile_writes_nothing(self, workspace, value):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "filter_percentile = 50.0", f"filter_percentile = {value}"))
+        assert run(cfg_path, out, "gen-data") == 2
+        assert not out.exists()
+
     def test_same_seed_identical_files(self, workspace):
         tmp_path, cfg_path = workspace
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -156,6 +165,21 @@ class TestTrainingCommands:
             rows = list(csv.reader(f))
         first_step = int(rows[1][0])
         assert first_step == TINY.tokenizer_steps + 1
+
+    def test_resume_keeps_the_checkpoint_settings(self, workspace):
+        # model settings in the config apply only when a tokenizer is created
+        tmp_path, cfg_path = workspace
+        out, other = tmp_path / "run", tmp_path / "other"
+        run(cfg_path, out, "gen-data")
+        assert run(cfg_path, out, "train-tokenizer") == 0
+        shutil.copytree(out, other)
+        assert run(cfg_path, out, "train-tokenizer", "--resume") == 0
+        write_config(TINY.with_overrides(codebook_size=64, beta=0.5), cfg_path)
+        assert run(cfg_path, other, "train-tokenizer", "--resume") == 0
+        _, meta = load_checkpoint(other / "checkpoints" / "tokenizer.ckpt")
+        assert (meta["n_codes"], meta["beta"], meta["step"]) == (32, 0.25, 2 * TINY.tokenizer_steps)
+        for name in ("checkpoints/tokenizer.ckpt", "reports/tokenizer_loss.csv"):
+            assert (other / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestForecastAndEvaluate:
@@ -324,6 +348,24 @@ class TestForecastAndEvaluate:
                                  (1.0, 2.0, 8.0), TINY.step_minutes)
         assert report.rows == expected.rows
 
+    def test_evaluate_masks_follow_the_events_grid(self, workspace):
+        # the default config's 32x32 grid is not the 8x8 grid of these events
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        manifest = str(out / "data" / "manifest.txt")
+        default_path = tmp_path / "default.cfg"
+        write_config(RunConfig(), default_path)
+        for path, name in ((cfg_path, "tiny.csv"), (default_path, "default.csv")):
+            assert main(["--config", str(path), "--out", str(out), "evaluate",
+                         "--pred", manifest, "--obs", manifest, "--out-name", name]) == 0
+
+        def rows(name):
+            lines = (out / "reports" / name).read_text().splitlines()
+            return [line for line in lines if not line.startswith("#")]
+
+        assert len(rows("tiny.csv")) > 1 and rows("default.csv") == rows("tiny.csv")
+
     def test_benchmark_report(self, trained):
         tmp_path, cfg_path, out = trained
         assert run(cfg_path, out, "benchmark", "--reps", "3") == 0
@@ -347,6 +389,18 @@ class TestForecastAndEvaluate:
         text = (out / "reports" / "benchmark.txt").read_text()
         assert "# horizon = 1\n" in text and "horizon: 1 frames" in text
         assert horizons == [1] * 12  # a warm-up and 5 timed calls per mode
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"codebook_size": 64}, {"grid_h": 16, "grid_w": 16, "tokens_per_frame": 16}],
+        ids=["codebook", "grid"],
+    )
+    def test_benchmark_runs_the_checkpoints_settings(self, trained, override):
+        _, cfg_path, out = trained
+        write_config(TINY.with_overrides(**override), cfg_path)
+        assert run(cfg_path, out, "benchmark", "--reps", "1") == 0
+        text = (out / "reports" / "benchmark.txt").read_text()
+        assert f"tokens_per_frame: {TINY.tokens_per_frame}\n" in text and "end to end" in text
 
     def test_benchmark_zero_horizon_is_config_error(self, trained, capsys):
         _, cfg_path, out = trained
@@ -447,10 +501,18 @@ class TestMismatchedPair:
         assert run(cfg_path, out, "forecast", "--event", str(event), "--mode", mode) == 2
         self._refused(capsys, out, "tokenizer.ckpt", f"dynamics_{mode}.ckpt")
 
-    def test_benchmark(self, pair, capsys):
+    def test_benchmark(self, pair, capsys, monkeypatch):
         cfg_path, out = pair
+        rollouts, real = [], dynamics.rollout
+
+        def counting(*args, **kwargs):
+            rollouts.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "rollout", counting)
         assert run(cfg_path, out, "benchmark", "--reps", "1") == 2
         self._refused(capsys, out, "tokenizer.ckpt", "dynamics_frame.ckpt")
+        assert rollouts == []  # refused before any timing
 
     @pytest.mark.parametrize("resume", [False, True], ids=["new", "resumed"])
     def test_train_dynamics(self, pair, capsys, resume):

@@ -35,6 +35,10 @@ class TestRunConfig:
             {"lr": float("nan")},
             {"lr": float("inf")},
             {"n_events": -1},
+            {"warmup_steps": 0},
+            {"filter_percentile": 150.0},
+            {"filter_percentile": -1.0},
+            {"filter_percentile": float("nan")},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )

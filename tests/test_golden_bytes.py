@@ -51,7 +51,8 @@ def _write_trained(tmp_path):
     rng = np.random.default_rng(2026)
     fields = rng.uniform(0, 1, size=(6, 8, 8))
     tokenizer, _ = train_tokenizer(
-        fields, TOKENIZER, TrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=5)
+        Tokenizer(TOKENIZER, seed=5), fields,
+        TrainConfig(steps=3, batch_size=2, lr=1e-2, warmup_steps=2, seed=5),
     )
     tokenizer.save(tmp_path / "tokenizer_trained.ckpt", step=3)
     tokens = rng.integers(0, 16, size=(5, 3, 4))

@@ -328,9 +328,7 @@ class TestTraining:
         fields = np.random.default_rng(11).uniform(size=(4, 8, 8))
         tok_init = Tokenizer(TOY, seed=7)
         ref = {k: v.data.copy() for k, v in tok_init.trainable().items()}
-        tok, log = train_tokenizer(
-            fields, TOY, TrainConfig(steps=0, seed=7), tokenizer=tok_init
-        )
+        tok, log = train_tokenizer(tok_init, fields, TrainConfig(steps=0, seed=7))
         assert log == []
         for k, v in tok.trainable().items():
             assert np.array_equal(v.data, ref[k])
@@ -342,15 +340,15 @@ class TestTraining:
         ]
         fields = normalize(np.concatenate([e.frames for e in events]), 40.0)
         cfg = TrainConfig(steps=500, batch_size=4, lr=3e-3, warmup_steps=50, seed=13)
-        tok, log = train_tokenizer(fields, TOY, cfg)
+        tok, log = train_tokenizer(Tokenizer(TOY, seed=13), fields, cfg)
         assert log[-1][2] < log[0][2]
         assert len(log) == 500
 
     def test_same_seed_same_checkpoint(self, tmp_path):
         fields = np.random.default_rng(14).uniform(size=(6, 8, 8))
         cfg = TrainConfig(steps=40, batch_size=4, lr=1e-3, warmup_steps=10, seed=21)
-        tok_a, _ = train_tokenizer(fields, TOY, cfg)
-        tok_b, _ = train_tokenizer(fields, TOY, cfg)
+        tok_a, _ = train_tokenizer(Tokenizer(TOY, seed=21), fields, cfg)
+        tok_b, _ = train_tokenizer(Tokenizer(TOY, seed=21), fields, cfg)
         pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         tok_a.save(pa, step=40)
         tok_b.save(pb, step=40)
@@ -358,7 +356,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_tokenizer(np.zeros((0, 8, 8)), TOY, TrainConfig(steps=1))
+            train_tokenizer(Tokenizer(TOY), np.zeros((0, 8, 8)), TrainConfig(steps=1))
 
     def test_save_load_round_trip(self, tmp_path):
         tok = Tokenizer(TOY, seed=8)
