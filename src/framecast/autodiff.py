@@ -24,8 +24,23 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _accumulate(node, g):
+    """Add one chain-rule contribution to node.grad, allocating it on the first.
+
+    The first contribution is stored as 0.0 + g in an array laid out like
+    node.data: a transposed view g would otherwise change the order of
+    later reductions, and 0.0 + g turns -0.0 into +0.0, so the bytes match
+    summing every contribution onto zeros.
+    """
+    if node.grad is None:
+        node.grad = np.add(0.0, g, out=np.empty_like(node.data))
+    else:
+        node.grad += g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # __weakref__ lets a check see when a graph has been freed
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -73,9 +88,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self.grad += _unbroadcast(g, self.data.shape)
+                _accumulate(self, _unbroadcast(g, self.data.shape))
             if other.requires_grad:
-                other.grad += _unbroadcast(g, other.data.shape)
+                _accumulate(other, _unbroadcast(g, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -87,9 +102,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self.grad += _unbroadcast(g * other.data, self.data.shape)
+                _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
             if other.requires_grad:
-                other.grad += _unbroadcast(g * self.data, other.data.shape)
+                _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -109,7 +124,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self.grad += g * (exponent * self.data ** (exponent - 1))
+                _accumulate(self, g * (exponent * self.data ** (exponent - 1)))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -117,14 +132,14 @@ class Tensor:
         # tanh approximation; smooth everywhere, so finite differences agree
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 
         def backward(g):
             if self.requires_grad:
                 d_inner = c * (1.0 + 3 * 0.044715 * x**2)
-                self.grad += g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
+                _accumulate(self, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -135,7 +150,7 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 inside = (self.data >= 0.0) & (self.data <= 1.0)
-                self.grad += g * inside
+                _accumulate(self, g * inside)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -153,9 +168,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self.grad += _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape)
+                _accumulate(self, _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape))
             if other.requires_grad:
-                other.grad += _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)
+                _accumulate(other, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -167,10 +182,10 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 if axis is None:
-                    self.grad += np.broadcast_to(g, self.data.shape)
+                    _accumulate(self, np.broadcast_to(g, self.data.shape))
                 else:
                     g_keep = g if keepdims else np.expand_dims(g, axis)
-                    self.grad += np.broadcast_to(g_keep, self.data.shape)
+                    _accumulate(self, np.broadcast_to(g_keep, self.data.shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -186,7 +201,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self.grad += g.reshape(old_shape)
+                _accumulate(self, g.reshape(old_shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -197,7 +212,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self.grad += g.transpose(inverse)
+                _accumulate(self, g.transpose(inverse))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -210,9 +225,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                full[index] = g
-                self.grad += full
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[index] += g
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -227,6 +242,8 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
                 np.add.at(self.grad, indices.reshape(-1), g.reshape(-1, self.data.shape[1]))
 
         return Tensor._make(out_data, (self,), backward)
@@ -234,7 +251,12 @@ class Tensor:
     # ---- backward pass ---------------------------------------------------
 
     def backward(self):
-        """Reverse pass from a scalar output; accumulates into .grad."""
+        """Reverse pass from a scalar output.
+
+        Gradients are allocated on their first contribution, and an inner
+        node's gradient is dropped once its closure has passed it on: after
+        the pass, leaves and this output hold .grad, inner nodes hold None.
+        """
         if self.data.size != 1:
             raise ConfigError("backward() must start from a scalar")
         order = []
@@ -253,11 +275,13 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
 
 def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
@@ -282,7 +306,7 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
     def backward(g):
         if x.requires_grad:
             inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x.grad += out_data * (g - inner)
+            _accumulate(x, out_data * (g - inner))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -324,7 +348,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
             g_row = g * scale
             grad = e * (g_row / total)
             np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
-            logits.grad += grad
+            _accumulate(logits, grad)
 
     return Tensor._make(rows.sum() * scale, (logits,), backward)
 

@@ -252,9 +252,12 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     if not obs_events:
         raise ConfigError(f"observation manifest {args.obs} lists no events")
 
+    # leads are labelled with the events' own step, which forecast copies into each prediction
+    steps = {e.step_minutes for e in obs_events}
     preds = []
     for pred_manifest in args.pred:
         pred_events = read_events(pred_manifest)
+        steps.update(e.step_minutes for e in pred_events)
         if len(pred_events) != len(obs_events):
             raise ConfigError(
                 f"manifest length mismatch: {len(pred_events)} predictions in {pred_manifest} "
@@ -268,9 +271,12 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
                 )
         preds.append(np.stack([e.target for e in pred_events], dtype=np.float64))
     obs = np.stack([e.target for e in obs_events], dtype=np.float64)
+    if len(steps) != 1:
+        raise ConfigError(f"events disagree on step_minutes: {sorted(steps)}")
+    (step_minutes,) = steps
 
     masks = _synthetic_catchments(*obs.shape[-2:])
-    report = evaluate_runs([(pred, obs) for pred in preds], masks, taus, cfg.step_minutes)
+    report = evaluate_runs([(pred, obs) for pred in preds], masks, taus, step_minutes)
     out_csv = report_dir / (args.out_name or "evaluation.csv")
     report.to_csv(out_csv, comments=cfg.to_lines())
     out_csv.with_suffix(".txt").write_text(report.to_text(), encoding="utf-8")

@@ -350,9 +350,9 @@ def train_dynamics(
         step = start_step + local_step + 1
         batch = data[rng.integers(0, data.shape[0], size=train.batch_size)]
         with guarded_step(step):
-            loss = dynamics_loss(model, batch)
-            opt.update(loss, warmup_lr(step, train.lr, train.warmup_steps))
-        log.append((step, opt.lr, loss.item()))
+            lr = warmup_lr(step, train.lr, train.warmup_steps)
+            loss = opt.update(dynamics_loss(model, batch), lr)
+        log.append((step, opt.lr, loss))
     return model, log
 
 

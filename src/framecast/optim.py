@@ -62,19 +62,22 @@ class Adam:
             v_hat = self._v[i] / (1.0 - self.beta2**t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def update(self, loss: Tensor, lr: float) -> None:
-        """Backward from a finite scalar loss, then one step at lr.
+    def update(self, loss: Tensor, lr: float) -> float:
+        """Backward from a finite scalar loss, then one step at lr; returns
+        the loss value, so a caller can log it without keeping the tape.
 
         A non-finite loss raises FloatingPointError before any parameter
         moves.
         """
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError(f"loss is {loss.item()}")
+        value = loss.item()
+        if not np.isfinite(value):
+            raise FloatingPointError(f"loss is {value}")
         for p in self.params:
             p.grad = None
         loss.backward()
         self.lr = lr
         self.step()
+        return value
 
 
 @contextmanager

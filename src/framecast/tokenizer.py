@@ -322,31 +322,37 @@ def train_tokenizer(
     for local_step in range(train.steps):
         step = start_step + local_step + 1
         batch_idx = rng.integers(0, fields.shape[0], size=train.batch_size)
-        batch = fields[batch_idx]
 
         with guarded_step(step):
-            z_hat = tokenizer.encode(batch)
-            idx, z_q, st = tokenizer.straight_through(z_hat)
-            x_hat = tokenizer.decode(st)
-            total, recon, code, commit = vqvae_loss(
-                Tensor(batch), x_hat, z_hat, z_q, config.beta
-            )
-            opt.update(total, warmup_lr(step, train.lr, train.warmup_steps))
+            lr = warmup_lr(step, train.lr, train.warmup_steps)
+            idx, latents, losses = _vqvae_step(tokenizer, opt, fields[batch_idx], lr)
 
         used[np.unique(idx)] = True
         if step % epoch_len == 0:
             dead = np.flatnonzero(~used)
             if dead.size:
                 # revive dead entries with encoder outputs from this batch
-                pool = z_hat.data.reshape(-1, config.latent_dim)
+                pool = latents.reshape(-1, config.latent_dim)
                 pick = rng.integers(0, pool.shape[0], size=dead.size)
                 tokenizer.codebook.data[dead] = pool[pick]
             used[:] = False
 
-        log.append(
-            (step, opt.lr, total.item(), recon.item(), code.item(), commit.item())
-        )
+        log.append((step, opt.lr, *losses))
     return tokenizer, log
+
+
+def _vqvae_step(tokenizer: Tokenizer, opt: Adam, batch: np.ndarray, lr: float):
+    """One forward, backward and update on a batch of fields.
+
+    Returns (code indices, encoder outputs, (total, recon, codebook_term,
+    commit_term)) as arrays and floats, so no tape outlives the step.
+    """
+    z_hat = tokenizer.encode(batch)
+    idx, z_q, st = tokenizer.straight_through(z_hat)
+    x_hat = tokenizer.decode(st)
+    total, *terms = vqvae_loss(Tensor(batch), x_hat, z_hat, z_q, tokenizer.config.beta)
+    terms = [term.item() for term in terms]
+    return idx, z_hat.data, (opt.update(total, lr), *terms)
 
 
 def write_loss_log(path, rows, header) -> None:

@@ -39,3 +39,41 @@ def scan_nearest_code_indices(vectors, entries):
         diff = vectors[:, None, :] - entries[None, :, :]
         d2 = (diff * diff).sum(axis=-1)
     return d2.argmin(axis=1).astype(np.int32)
+
+
+def eager_backward(root):
+    """Reference reverse pass with every gradient allocated up front.
+
+    Zero-fills the gradient of every node that reaches root, seeds root with
+    ones and runs each node's closure in reverse topological order; every
+    node keeps its gradient. The rule ``Tensor.backward`` must match to the
+    byte on the leaves.
+    """
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    for node in order:
+        node.grad = np.zeros_like(node.data)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+    return order
+
+
+def assert_backward_matches_eager(loss, leaves):
+    """Leaf gradients of ``loss.backward()`` equal ``eager_backward``'s, byte for byte."""
+    eager_backward(loss)
+    expected = [leaf.grad.copy() for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    loss.backward()
+    for leaf, want in zip(leaves, expected):
+        assert leaf.grad.dtype == want.dtype and leaf.grad.shape == want.shape
+        assert leaf.grad.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ from framecast.autodiff import (
 )
 from framecast.errors import ConfigError
 
-from helpers import central_difference, max_relative_error
+from helpers import assert_backward_matches_eager, central_difference, max_relative_error
 
 GRAD_TOL = 1e-6
 
@@ -258,3 +258,77 @@ class TestComposite:
         assert all(p.requires_grad for p in params.values())
         assert params["w"].shape == (3, 4) and not params["b"].data.any()
         assert np.array_equal(params["w"].data, np.random.default_rng(0).normal(size=(3, 4)))
+
+
+def _ops(rng):
+    """One small graph per Tensor op, each using its leaves more than once so
+    gradients accumulate; build(a, b) -> scalar loss."""
+    weights = rng.normal(size=(4, 6))
+    rows = np.array([0, 3, 3, 1])
+    return {
+        "add": lambda a, b: ((a + b) * (a + 1.5)).sum(),
+        "mul": lambda a, b: (a * b * a).sum(),
+        "neg_sub": lambda a, b: ((-a - b) * a).sum(),
+        "pow": lambda a, b: ((a * a + 1.0) ** -0.5 * b).sum(),
+        "gelu": lambda a, b: (a.gelu() * b + a.gelu()).sum(),
+        "clip01": lambda a, b: ((a * 0.3 + 0.5).clip01() * b).sum(),
+        "matmul": lambda a, b: (a.matmul(b.transpose((1, 0))) @ a).sum(),
+        "sum": lambda a, b: (a.sum(axis=0) * b.sum(axis=1, keepdims=True)).sum() + a.sum(),
+        "mean": lambda a, b: (a.mean(axis=1, keepdims=True) * b).mean(),
+        "reshape": lambda a, b: (a.reshape(6, 4) * b.reshape((6, 4))).sum(),
+        "transpose": lambda a, b: (a.transpose((1, 0)) @ b).sum(),
+        "slice_axis": lambda a, b: (a.slice_axis(1, 0, 4) * a.slice_axis(1, 2, 6) * b.slice_axis(1, 1, 5)).sum(),
+        "gather_rows": lambda a, b: (a.gather_rows(rows) * b + a.gather_rows(rows[::-1]) * 2.0).sum(),
+        "softmax": lambda a, b: (softmax(a, mask=weights > -0.5) * b).sum(),
+        "layer_norm": lambda a, b: (layer_norm(a, b.slice_axis(0, 0, 1), b.slice_axis(0, 1, 2)) * a).sum(),
+        "cross_entropy": lambda a, b: cross_entropy_logits(a @ b.transpose((1, 0)) @ a, rows),
+    }
+
+
+OPS = sorted(_ops(np.random.default_rng(0)))
+
+
+class TestLazyGradients:
+    """Gradients allocated on first use and freed once passed on give the
+    bytes of the eager rule that zero-fills every node first."""
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_each_op_matches_eager(self, op):
+        rng = np.random.default_rng(40)
+        build = _ops(rng)[op]
+        a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        assert_backward_matches_eager(build(a, b), [a, b])
+
+    def test_transposed_first_contribution(self):
+        # h's first contribution is a transposed view of its consumer's
+        # gradient; copied with that view's strides, the bias gradient's sum
+        # over h's rows would run in another order and move in the last bits
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(1, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 16)), requires_grad=True)
+        h = x + bias
+        loss = (h.transpose((1, 0)) @ w).gelu().sum()
+        assert_backward_matches_eager(loss, [x, bias, w])
+
+    def test_inner_gradients_freed_leaves_kept(self):
+        rng = np.random.default_rng(42)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        const = Tensor(rng.normal(size=(3, 2)))
+        hidden = (a @ b).gelu()
+        inner = [hidden, hidden._parents[0], hidden * const]
+        loss = (inner[2] + hidden).sum()
+        loss.backward()
+        assert all(node.grad is None for node in inner)
+        assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
+        assert np.array_equal(loss.grad, np.ones(()))
+        assert const.grad is None
+
+    def test_second_backward_starts_afresh(self):
+        a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        loss.backward()
+        assert np.array_equal(a.grad, 2 * a.data)

@@ -3,6 +3,7 @@
 import csv
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from framecast.checkpoint import load_checkpoint, save_checkpoint
 from framecast.cli import main
 from framecast.config import RunConfig, write_config
 from framecast.dynamics import DynamicsModel, forecast, load_dynamics, save_dynamics
-from framecast.eventfile import read_event, read_events, read_manifest, write_manifest
+from framecast.eventfile import read_event, read_events, read_manifest, write_event, write_manifest
 from framecast.tokenizer import Tokenizer, read_tokens
 from framecast.verification import MetricReport, evaluate_runs
 
@@ -365,6 +366,35 @@ class TestForecastAndEvaluate:
             return [line for line in lines if not line.startswith("#")]
 
         assert len(rows("tiny.csv")) > 1 and rows("default.csv") == rows("tiny.csv")
+
+    def test_evaluate_labels_leads_with_the_events_step(self, workspace):
+        # six 30-minute events, evaluated under a config whose step is 10 minutes
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        assert run(cfg_path, out, "gen-data", "--n-events", "6") == 0
+        manifest = out / "data" / "events_all.txt"
+        assert len(read_manifest(manifest)) == 6
+        assert {e.step_minutes for e in read_events(manifest)} == {30}
+        ten_path = tmp_path / "ten.cfg"
+        write_config(TINY.with_overrides(step_minutes=10), ten_path)
+        assert run(ten_path, out, "evaluate", "--pred", str(manifest), "--obs", str(manifest)) == 0
+        report = MetricReport.from_csv(out / "reports" / "evaluation.csv")
+        assert sorted({r.lead_minutes for r in report.select(metric="mse")}) == [30, 60]
+
+    def test_evaluate_refuses_mixed_steps(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        assert run(cfg_path, out, "gen-data", "--n-events", "6") == 0
+        manifest = out / "data" / "events_all.txt"
+        paths = read_manifest(manifest)
+        odd = out / "data" / "odd_step.evt"
+        write_event(replace(read_event(paths[0]), step_minutes=10), odd)
+        mixed = out / "data" / "mixed.txt"
+        write_manifest([odd, *paths[1:]], mixed)
+        for pred, obs in ((mixed, manifest), (manifest, mixed)):
+            assert run(cfg_path, out, "evaluate", "--pred", str(pred), "--obs", str(obs)) == 2
+            assert "step_minutes" in capsys.readouterr().err
+        assert not (out / "reports" / "evaluation.csv").exists()
 
     def test_benchmark_report(self, trained):
         tmp_path, cfg_path, out = trained

@@ -1,8 +1,11 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from framecast import dynamics
 from framecast.autodiff import Tensor
 from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from framecast.dynamics import (
@@ -21,7 +24,7 @@ from framecast.dynamics import (
 from framecast.errors import ConfigError, HorizonError
 from framecast.optim import TrainConfig
 
-from helpers import central_difference, max_relative_error
+from helpers import assert_backward_matches_eager, central_difference, max_relative_error
 
 TINY = DynamicsConfig(
     n_layers=1, n_heads=2, embed_dim=16, vocab_size=16, tokens_per_frame=4, max_frames=6
@@ -266,6 +269,39 @@ class TestLossAndTraining:
         assert back.config == model.config
         for name in model.params:
             assert np.array_equal(back.params[name].data, model.params[name].data)
+
+
+class TestGradientLifetime:
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_backward_matches_eager_at_default_config(self, mode):
+        cfg = DynamicsConfig(mode=mode)
+        model = DynamicsModel(cfg, seed=1)
+        batch = np.random.default_rng(30).integers(
+            0, cfg.vocab_size, size=(2, cfg.max_frames, cfg.tokens_per_frame)
+        )
+        assert_backward_matches_eager(dynamics_loss(model, batch), list(model.params.values()))
+
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_no_loss_outlives_its_step(self, mode, monkeypatch):
+        # refcounting alone must free step s's graph before step s+1's forward
+        losses = []
+        loss_of = dynamics.dynamics_loss
+
+        def traced(model, batch):
+            assert all(ref() is None for ref in losses), "an earlier step's loss is alive"
+            loss = loss_of(model, batch)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        monkeypatch.setattr(dynamics, "dynamics_loss", traced)
+        data = np.random.default_rng(31).integers(0, 16, size=(3, 3, 4))
+        gc.disable()
+        try:
+            _, log = train_dynamics(tiny_model(mode, seed=3), data, TrainConfig(steps=3, batch_size=2))
+        finally:
+            gc.enable()
+        assert len(losses) == len(log) == 3
+        assert all(ref() is None for ref in losses)
 
 
 class TestStrictLoad:

@@ -1,12 +1,13 @@
 """Pinned bytes of every on-disk format (.evt, tokenizer and dynamics .ckpt,
-.tok), of a full verification report, and of both models after three
-training steps."""
+.tok), of a full verification report, of both models after three
+training steps, and of gelu's forward and backward values."""
 
 import hashlib
 from dataclasses import replace
 
 import numpy as np
 
+from framecast.autodiff import Tensor
 from framecast.checkpoint import save_checkpoint
 from framecast.dynamics import (
     DynamicsConfig,
@@ -102,3 +103,26 @@ def test_golden_bytes(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+def _gelu_bytes():
+    """gelu's forward values and input gradient on O(1) inputs, where the
+    cubic term is well above one ulp of x."""
+    x = Tensor(np.random.default_rng(2027).normal(0, 2, size=(64, 64)), requires_grad=True)
+    y = x.gelu()
+    y.sum().backward()
+    return y.data.tobytes(), x.grad.tobytes()
+
+
+# SHA-256 of gelu's forward and backward bytes. The trained pins above cannot
+# see a last-bit change of gelu's cubic term: their activations are small, so
+# that change stays below one ulp of x
+GELU_GOLDEN = (
+    "e082e4d836517410c56219b07550cfd644a5a212c0c991a9ea748b00d7c05b36",
+    "4c31122a7c89e2f1cf6a9ed0762cb81ef3ade3e901cc47dc159de18981411d72",
+)
+
+
+def test_gelu_bytes():
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in _gelu_bytes())
+    assert digests == GELU_GOLDEN

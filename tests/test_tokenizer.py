@@ -1,8 +1,11 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from framecast import tokenizer as tokenizer_module
 from framecast.advection import AdvectionParams, generate_advection_event
 from framecast.autodiff import Tensor
 from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -21,7 +24,12 @@ from framecast.tokenizer import (
     write_tokens,
 )
 
-from helpers import central_difference, max_relative_error, scan_nearest_code_indices
+from helpers import (
+    assert_backward_matches_eager,
+    central_difference,
+    max_relative_error,
+    scan_nearest_code_indices,
+)
 
 TOY = TokenizerConfig(patch_size=4, n_codes=32, latent_dim=8, hidden_dim=16)
 
@@ -266,6 +274,14 @@ class TestVQLoss:
         expected = numeric_recon + 2.0 * (z_hat_leaf.data - z_q.data)
         assert max_relative_error(z_hat_leaf.grad, expected) <= 1e-4
 
+    def test_backward_matches_eager_at_default_config(self):
+        tok = Tokenizer(TokenizerConfig(), seed=2)
+        fields = np.random.default_rng(7).uniform(0, 1, size=(2, 32, 32))
+        z_hat = tok.encode(fields)
+        _, z_q, st = tok.straight_through(z_hat)
+        total, _, _, _ = vqvae_loss(Tensor(fields), tok.decode(st), z_hat, z_q, tok.config.beta)
+        assert_backward_matches_eager(total, list(tok.trainable().values()))
+
 
 class TestEncodeDecode:
     def test_encode_deterministic(self):
@@ -353,6 +369,32 @@ class TestTraining:
         tok_a.save(pa, step=40)
         tok_b.save(pb, step=40)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_no_tape_outlives_its_step(self, monkeypatch):
+        # refcounting alone must free step s's loss terms and latents before
+        # step s+1's encoder pass starts
+        live = []
+        encode, loss_of = Tokenizer.encode, tokenizer_module.vqvae_loss
+
+        def traced_encode(self, fields):
+            assert all(ref() is None for ref in live), "an earlier step's tape is alive"
+            return encode(self, fields)
+
+        def traced_loss(x, x_hat, z_hat, z_q, beta):
+            terms = loss_of(x, x_hat, z_hat, z_q, beta)
+            live.extend(weakref.ref(t) for t in (*terms, x_hat, z_hat, z_q))
+            return terms
+
+        monkeypatch.setattr(Tokenizer, "encode", traced_encode)
+        monkeypatch.setattr(tokenizer_module, "vqvae_loss", traced_loss)
+        fields = np.random.default_rng(15).uniform(size=(4, 8, 8))
+        gc.disable()
+        try:
+            _, log = train_tokenizer(Tokenizer(TOY, seed=3), fields, TrainConfig(steps=3, batch_size=2))
+        finally:
+            gc.enable()
+        assert len(live) == 7 * len(log) == 21
+        assert all(ref() is None for ref in live)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
