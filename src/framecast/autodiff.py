@@ -24,16 +24,23 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _accumulate(node, g):
+def _accumulate(node, g, owned=False):
     """Add one chain-rule contribution to node.grad, allocating it on the first.
 
     The first contribution is stored as 0.0 + g in an array laid out like
     node.data: a transposed view g would otherwise change the order of
     later reductions, and 0.0 + g turns -0.0 into +0.0, so the bytes match
-    summing every contribution onto zeros.
+    summing every contribution onto zeros. When g is owned (a fresh array
+    the closure built and nothing else holds) and is C-contiguous like the
+    data, 0.0 + g is taken in place on g instead of on a copy.
     """
     if node.grad is None:
-        node.grad = np.add(0.0, g, out=np.empty_like(node.data))
+        data = node.data
+        if (owned and type(g) is np.ndarray and g.shape == data.shape
+                and g.flags.c_contiguous and data.flags.c_contiguous):
+            node.grad = np.add(0.0, g, out=g)
+        else:
+            node.grad = np.add(0.0, g, out=np.empty_like(data))
     else:
         node.grad += g
 
@@ -59,13 +66,21 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
-        requires = any(p.requires_grad for p in parents)
-        return Tensor(
-            data,
-            requires_grad=requires,
-            _parents=tuple(p for p in parents if p.requires_grad),
-            _backward=backward if requires else None,
-        )
+        """An op's output node; it records only the parents that need a gradient.
+
+        Op results are float64 ndarrays already, so they are adopted as they
+        are; anything else (a numpy scalar, say) is coerced as __init__ does.
+        """
+        out = Tensor.__new__(Tensor)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        live = tuple(p for p in parents if p.requires_grad)
+        out.data = data
+        out.grad = None
+        out.requires_grad = bool(live)
+        out._parents = live
+        out._backward = backward if live else None
+        return out
 
     @property
     def shape(self):
@@ -102,9 +117,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
+                _accumulate(self, _unbroadcast(g * other.data, self.data.shape), owned=True)
             if other.requires_grad:
-                _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
+                _accumulate(other, _unbroadcast(g * self.data, other.data.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -124,22 +139,31 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                _accumulate(self, g * (exponent * self.data ** (exponent - 1)))
+                _accumulate(self, g * (exponent * self.data ** (exponent - 1)), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     def gelu(self):
         # tanh approximation; smooth everywhere, so finite differences agree
+        # c * (x + 0.044715 * (x * x * x)), then tanh, all in one buffer t;
+        # out is 0.5 * x * (1.0 + t), the same ops in the same order
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= 0.044715
+        np.add(x, t, out=t)
+        t *= c
+        np.tanh(t, out=t)
+        out_data = 0.5 * x
+        out_data *= 1.0 + t
 
         def backward(g):
             if self.requires_grad:
                 d_inner = c * (1.0 + 3 * 0.044715 * x**2)
-                _accumulate(self, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
+                _accumulate(
+                    self, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner), owned=True
+                )
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -150,7 +174,7 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 inside = (self.data >= 0.0) & (self.data <= 1.0)
-                _accumulate(self, g * inside)
+                _accumulate(self, g * inside, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -168,9 +192,13 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                _accumulate(self, _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape))
+                _accumulate(
+                    self, _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape), owned=True
+                )
             if other.requires_grad:
-                _accumulate(other, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape))
+                _accumulate(
+                    other, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape), owned=True
+                )
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -297,16 +325,23 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
         allowed = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
     masked = np.where(allowed, data, -np.inf)
     peak = masked.max(axis=axis, keepdims=True)
-    dead = ~np.isfinite(peak)
-    peak = np.where(dead, 0.0, peak)
-    e = np.exp(masked - peak)
-    denom = e.sum(axis=axis, keepdims=True)
-    out_data = np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
+    live = np.isfinite(peak)
+    if live.all():
+        # every slice has a finite peak, so its exp sum is at least 1 and the
+        # general path below reduces to e / denom, done in place on e. (Doing
+        # the shift and exp in place too cost more minor page faults than it
+        # saved under glibc's default allocator settings.)
+        out_data = np.exp(masked - peak)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
+    else:
+        e = np.exp(masked - np.where(live, peak, 0.0))
+        denom = e.sum(axis=axis, keepdims=True)
+        out_data = np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
 
     def backward(g):
         if x.requires_grad:
             inner = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(x, out_data * (g - inner))
+            _accumulate(x, out_data * (g - inner), owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -348,7 +383,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
             g_row = g * scale
             grad = e * (g_row / total)
             np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
-            _accumulate(logits, grad)
+            _accumulate(logits, grad, owned=True)
 
     return Tensor._make(rows.sum() * scale, (logits,), backward)
 

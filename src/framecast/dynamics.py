@@ -155,6 +155,10 @@ class DynamicsModel:
         self.config = config
         self.forward_calls = 0
         self.params: dict[str, Tensor] = params
+        # the mask at every length L is this one's top-left (L, L) corner
+        k = config.tokens_per_pass
+        self._allow = build_block_causal_mask(config.block_size // k, k).allow
+        self._allow.flags.writeable = False
 
     # ---- forward ----------------------------------------------------------
 
@@ -162,7 +166,7 @@ class DynamicsModel:
         k = self.config.tokens_per_pass
         if seq_len % k:
             raise ConfigError(f"sequence length {seq_len} is not a multiple of {k}")
-        return build_block_causal_mask(seq_len // k, k).allow
+        return self._allow[:seq_len, :seq_len]
 
     def forward_flat(self, tokens: np.ndarray) -> Tensor:
         """One transformer pass over flat token ids (B, L) -> logits (B, L, V).

@@ -77,3 +77,19 @@ def assert_backward_matches_eager(loss, leaves):
     for leaf, want in zip(leaves, expected):
         assert leaf.grad.dtype == want.dtype and leaf.grad.shape == want.shape
         assert leaf.grad.tobytes() == want.tobytes()
+
+
+def softmax_reference(data, mask, axis=-1):
+    """The general masked softmax rule, for any mask.
+
+    Masked positions read -inf; a slice with no finite peak is shifted by 0
+    and a slice whose exp sum is 0 comes out all zeros. ``autodiff.softmax``
+    must match it to the byte, on its fast path as on its general one.
+    """
+    allowed = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
+    masked = np.where(allowed, data, -np.inf)
+    peak = masked.max(axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    e = np.exp(masked - peak)
+    denom = e.sum(axis=axis, keepdims=True)
+    return np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)

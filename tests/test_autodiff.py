@@ -9,9 +9,15 @@ from framecast.autodiff import (
     layer_norm,
     softmax,
 )
+from framecast.dynamics import build_block_causal_mask
 from framecast.errors import ConfigError
 
-from helpers import assert_backward_matches_eager, central_difference, max_relative_error
+from helpers import (
+    assert_backward_matches_eager,
+    central_difference,
+    max_relative_error,
+    softmax_reference,
+)
 
 GRAD_TOL = 1e-6
 
@@ -60,6 +66,37 @@ class TestBasics:
         y = x * x + x * 2.0
         y.sum().backward()
         assert x.grad[0] == pytest.approx(2 * 3.0 + 2.0)
+
+
+class TestMake:
+    def test_numpy_scalar_becomes_a_float64_array(self):
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        out = Tensor._make(np.float64(2.5), (leaf,), lambda g: None)
+        assert type(out.data) is np.ndarray
+        assert out.data.dtype == np.float64 and out.data.shape == () and out.item() == 2.5
+        assert out.requires_grad and out._parents == (leaf,)
+
+    def test_float64_array_is_adopted_and_others_coerced(self):
+        data = np.arange(4.0)
+        assert Tensor._make(data, (), None).data is data
+        out = Tensor._make(np.arange(4, dtype=np.float32), (), None)
+        assert out.data.dtype == np.float64 and out.data.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_only_parents_that_need_a_gradient_are_recorded(self):
+        const, leaf = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+        out = Tensor._make(np.zeros(2), (const, const), lambda g: None)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert (const + leaf)._parents == (leaf,)
+
+
+class TestGelu:
+    def test_forward_is_the_tanh_formula_to_the_byte(self):
+        x = np.random.default_rng(10).normal(scale=3.0, size=(4, 33))
+        c = np.sqrt(2.0 / np.pi)
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+        assert Tensor(x).gelu().data.tobytes() == want.tobytes()
+        transposed = np.ascontiguousarray(x.T).T  # a non-contiguous input
+        assert Tensor(transposed).gelu().data.tobytes() == want.tobytes()
 
 
 class TestMatmul:
@@ -120,6 +157,28 @@ class TestSoftmax:
     def test_all_masked_row_is_zero_sentinel(self):
         out = softmax(Tensor(np.ones((2, 3))), mask=np.zeros((2, 3), dtype=bool))
         assert np.all(out.data == 0.0)
+
+    def test_block_causal_masks_match_the_general_rule(self):
+        rng = np.random.default_rng(8)
+        for n_frames, k in ((1, 1), (5, 1), (4, 4), (3, 16), (9, 16)):
+            allow = build_block_causal_mask(n_frames, k).allow
+            scores = rng.normal(scale=4.0, size=(2, 2) + allow.shape)
+            out = softmax(Tensor(scores), mask=allow).data
+            assert out.tobytes() == softmax_reference(scores, allow).tobytes()
+
+    def test_fully_masked_and_non_finite_rows_match_the_general_rule(self):
+        rng = np.random.default_rng(9)
+        allow = build_block_causal_mask(3, 2).allow.copy()
+        allow[2] = False
+        scores = rng.normal(size=(6, 6))
+        out = softmax(Tensor(scores), mask=allow).data
+        assert out.tobytes() == softmax_reference(scores, allow).tobytes()
+        assert np.all(out[2] == 0.0) and not np.signbit(out[2]).any()
+        scores[4, 1], scores[5, 0] = np.inf, np.nan
+        allow = build_block_causal_mask(3, 2).allow
+        with np.errstate(invalid="ignore"):  # inf - inf and nan rows
+            out = softmax(Tensor(scores), mask=allow).data
+            assert out.tobytes() == softmax_reference(scores, allow).tobytes()
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
@@ -311,6 +370,18 @@ class TestLazyGradients:
         h = x + bias
         loss = (h.transpose((1, 0)) @ w).gelu().sum()
         assert_backward_matches_eager(loss, [x, bias, w])
+
+    def test_owned_contribution_is_not_adopted_for_non_contiguous_data(self):
+        # b's data takes the transposed view's column-major layout, and the
+        # matmul backward hands it a fresh row-major gradient; adopted as is,
+        # the sum of b's gradient over rows for w would run in another order
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(64, 300)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64,)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(64, 5)), requires_grad=True)
+        b = x.transpose((1, 0)) * w
+        assert not b.data.flags.c_contiguous
+        assert_backward_matches_eager((b @ w2).sum(), [x, w, w2])
 
     def test_inner_gradients_freed_leaves_kept(self):
         rng = np.random.default_rng(42)

@@ -601,6 +601,27 @@ class TestWrongModeCheckpoint:
         assert path.read_bytes() == before
 
 
+class TestAllocatorPolicy:
+    def test_same_bytes_where_mallopt_is_missing(self, workspace, monkeypatch):
+        tmp_path, cfg_path = workspace
+
+        def pipeline(out):
+            assert run(cfg_path, out, "gen-data") == 0
+            assert run(cfg_path, out, "train-tokenizer") == 0
+            assert run(cfg_path, out, "train-dynamics") == 0
+            event = next(iter(read_manifest(out / "data" / "manifest.txt")))
+            assert run(cfg_path, out, "forecast", "--event", str(event)) == 0
+            return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+        with_policy = pipeline(tmp_path / "with")
+        monkeypatch.setattr(cli, "_libc_mallopt", lambda: None)
+        assert cli.keep_freed_heap() is False
+        without = pipeline(tmp_path / "without")
+        assert without.keys() == with_policy.keys() and len(without) > 10
+        for name, data in with_policy.items():
+            assert without[name] == data, name
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.cfg"), "gen-data"]) == 2

@@ -83,6 +83,18 @@ class TestMasks:
             block = build_block_causal_mask(s, 1).allow
             assert np.array_equal(token, block)
 
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_model_mask_is_a_corner_of_its_full_mask(self, mode):
+        model = tiny_model(mode)
+        k = model.config.tokens_per_pass
+        for length in range(k, model.config.block_size + 1, k):
+            sliced = model._mask_for(length)
+            assert np.array_equal(sliced, build_block_causal_mask(length // k, k).allow)
+            assert not sliced.flags.writeable
+        if k > 1:
+            with pytest.raises(ConfigError, match="not a multiple"):
+                model._mask_for(k + 1)
+
 
 class TestAttention:
     def test_identical_keys_average_values(self):
