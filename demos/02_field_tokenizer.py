@@ -27,7 +27,8 @@ print(f"   {fields.shape[0]} fields of {fields.shape[1]}x{fields.shape[2]}, "
 print()
 print("2. Train a toy tokenizer (4x4 patches -> 4x4 token grid, 64 codes)")
 print("------------------------------------------------------------------")
-config = TokenizerConfig(patch_size=4, n_codes=64, latent_dim=8, hidden_dim=32)
+config = TokenizerConfig(patch_size=4, n_codes=64, latent_dim=8, hidden_dim=32,
+                         data_max=DATA_MAX)
 train = TrainConfig(steps=800, batch_size=8, lr=3e-3, warmup_steps=50, seed=0)
 tokenizer, log = train_tokenizer(Tokenizer(config, seed=train.seed), fields, train)
 for step in (1, 200, 400, 800):
@@ -45,7 +46,7 @@ print(f"   per-pixel reconstruction error on 12 fields: {err:.4f} (normalized un
 print()
 print("4. What the quantizer does")
 print("--------------------------")
-indices = tokenizer.tokenize(normalize(events[0].frames, DATA_MAX))
+indices = tokenizer.tokenize(normalize(events[0].frames, tokenizer.config.data_max))
 used = np.unique(indices)
 print(f"   event of {indices.shape[0]} frames -> token grids {indices.shape[1:]}, "
       f"{used.size} distinct codes in use")

@@ -49,12 +49,12 @@ class Tensor:
     # __weakref__ lets a check see when a graph has been freed
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     # ---- construction helpers -------------------------------------------
 

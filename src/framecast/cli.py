@@ -124,6 +124,18 @@ def _check_pair(tokenizer: Tokenizer, tok_path: Path, model: DynamicsModel, dyn_
         )
 
 
+def _load_models(ckpt_dir: Path, modes) -> tuple[Tokenizer, dict[str, DynamicsModel]]:
+    """The tokenizer and each mode's dynamics model, checked to run as a pair."""
+    tok_path = _require(_tokenizer_path(ckpt_dir), "train-tokenizer")
+    tokenizer, _ = Tokenizer.load(tok_path)
+    models = {}
+    for mode in modes:
+        path = _require(_dynamics_path(ckpt_dir, mode), f"train-dynamics --mode {mode}")
+        models[mode], _ = _load_dynamics(path, mode)
+        _check_pair(tokenizer, tok_path, models[mode], path)
+    return tokenizer, models
+
+
 def _load_dataset(data_dir: Path) -> list[EventSequence]:
     manifest = _require(data_dir / "manifest.txt", "gen-data")
     events = read_events(manifest)
@@ -186,13 +198,13 @@ def cmd_train_tokenizer(cfg: RunConfig, args) -> int:
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     report_dir.mkdir(parents=True, exist_ok=True)
     events = _load_dataset(data_dir)
-    fields = normalize(np.concatenate([e.frames for e in events]), cfg.data_max)
-
     ckpt = _tokenizer_path(ckpt_dir)
     if args.resume and ckpt.exists():
         tokenizer, start_step = Tokenizer.load(ckpt)
     else:
         tokenizer, start_step = Tokenizer(cfg.tokenizer_config(), seed=cfg.seed), 0
+    # a resumed tokenizer keeps the data scale it was created with
+    fields = normalize(np.concatenate([e.frames for e in events]), tokenizer.config.data_max)
     tokenizer, log = train_tokenizer(
         tokenizer, fields, cfg.train_config(cfg.tokenizer_steps), start_step=start_step
     )
@@ -215,7 +227,8 @@ def cmd_train_dynamics(cfg: RunConfig, args) -> int:
     tok_path = _require(_tokenizer_path(ckpt_dir), "train-tokenizer")
     tokenizer, _ = Tokenizer.load(tok_path)
     events = _load_dataset(data_dir)
-    tokens = np.stack([tokenizer.tokenize(normalize(e.frames, cfg.data_max)) for e in events])
+    data_max = tokenizer.config.data_max
+    tokens = np.stack([tokenizer.tokenize(normalize(e.frames, data_max)) for e in events])
     tokens = tokens.reshape(tokens.shape[0], tokens.shape[1], -1)  # (n, T, N)
 
     ckpt = _dynamics_path(ckpt_dir, mode)
@@ -244,27 +257,23 @@ def _context(cfg: RunConfig, event: EventSequence) -> np.ndarray:
 
 def cmd_forecast(cfg: RunConfig, args) -> int:
     _, ckpt_dir, report_dir = _paths(cfg, args.out)
-    report_dir.mkdir(parents=True, exist_ok=True)
     mode = args.mode or cfg.mode
-    tok_path = _require(_tokenizer_path(ckpt_dir), "train-tokenizer")
-    tokenizer, _ = Tokenizer.load(tok_path)
-    dyn_path = _require(_dynamics_path(ckpt_dir, mode), "train-dynamics")
-    model, _ = _load_dynamics(dyn_path, mode)
-    _check_pair(tokenizer, tok_path, model, dyn_path)
+    tokenizer, models = _load_models(ckpt_dir, (mode,))
     event = read_event(args.event)
     context = _context(cfg, event)
 
-    fields, pred_tokens = forecast(tokenizer, model, context, cfg.horizon, cfg.data_max)
+    fields, pred_tokens = forecast(tokenizer, models[mode], context, cfg.horizon)
     out_event = EventSequence(
         np.concatenate([context, fields.astype(np.float32)]),
         context_len=cfg.context_len,
         step_minutes=event.step_minutes,
-        data_max=cfg.data_max,
+        data_max=tokenizer.config.data_max,
         seed=event.seed,
     )
     stem = Path(args.event).stem
     evt_path = report_dir / f"{stem}_{mode}_pred.evt"
     tok_path = report_dir / f"{stem}_{mode}_pred.tok"
+    report_dir.mkdir(parents=True, exist_ok=True)
     write_event(out_event, evt_path)
     write_tokens(tok_path, pred_tokens, tokenizer.config.n_codes)
     print(f"forecast ({mode}) for {args.event} -> {evt_path}")
@@ -324,22 +333,10 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     if args.horizon is not None:
         cfg = cfg.with_overrides(horizon=args.horizon)
     data_dir, ckpt_dir, report_dir = _paths(cfg, args.out)
+    # every input is loaded and checked before any timing
+    tokenizer, models = _load_models(ckpt_dir, ("frame", "token"))
+    frames = _context(cfg, _load_dataset(data_dir)[0])
     report_dir.mkdir(parents=True, exist_ok=True)
-    models = {}
-    for mode in ("frame", "token"):
-        path = _require(_dynamics_path(ckpt_dir, mode), f"train-dynamics --mode {mode}")
-        models[mode], _ = _load_dynamics(path, mode)
-    # the end-to-end section's inputs are loaded and checked before any timing
-    tok_path = _tokenizer_path(ckpt_dir)
-    manifest = data_dir / "manifest.txt"
-    frames = None
-    if tok_path.exists() and manifest.exists():
-        tokenizer, _ = Tokenizer.load(tok_path)
-        for mode, model in models.items():
-            _check_pair(tokenizer, tok_path, model, _dynamics_path(ckpt_dir, mode))
-        events = read_events(manifest)
-        if events:
-            frames = _context(cfg, events[0])
 
     model_cfg = models["frame"].config  # benchmark_decode checks the token model matches it
     context = np.random.default_rng(cfg.seed).integers(
@@ -375,17 +372,16 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     ]
     lines += [f"  {name}: {seconds}" for name, seconds in REFERENCE_TIMINGS]
 
-    if frames is not None:
-        lines += ["", "end to end (tokenize + rollout + detokenize), single event, "
-                  "median of 5 calls after 1 warm-up call:"]
-        for mode, model in models.items():
-            forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)  # untimed warm-up
-            samples = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                forecast(tokenizer, model, frames, cfg.horizon, cfg.data_max)
-                samples.append(time.perf_counter() - t0)
-            lines.append(f"  {mode} mode: {np.median(samples):.6f} s")
+    lines += ["", "end to end (tokenize + rollout + detokenize), single event, "
+              "median of 5 calls after 1 warm-up call:"]
+    for mode, model in models.items():
+        forecast(tokenizer, model, frames, cfg.horizon)  # untimed warm-up
+        samples = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            forecast(tokenizer, model, frames, cfg.horizon)
+            samples.append(time.perf_counter() - t0)
+        lines.append(f"  {mode} mode: {np.median(samples):.6f} s")
 
     out_path = report_dir / "benchmark.txt"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -94,8 +94,8 @@ class RunConfig:
             raise ConfigError(f"filter_percentile must be in [0, 100], got {self.filter_percentile}")
         if self.n_frames < self.context_len + 1:
             raise ConfigError("n_frames must leave at least one target frame")
-        if self.data_max <= 0:
-            raise ConfigError("data_max must be positive")
+        if not 0.0 < self.data_max < float("inf"):
+            raise ConfigError(f"data_max must be finite and positive, got {self.data_max}")
         for name in ("batch_size", "warmup_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -113,6 +113,7 @@ class RunConfig:
             latent_dim=self.codebook_dim,
             hidden_dim=self.codebook_hidden,
             beta=self.beta,
+            data_max=self.data_max,
         )
 
     def dynamics_config(self, mode: str | None = None) -> DynamicsConfig:

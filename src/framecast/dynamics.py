@@ -314,14 +314,15 @@ def rollout(
 
 
 def forecast(
-    tokenizer: Tokenizer, model: DynamicsModel, context_frames, horizon: int, data_max: float
+    tokenizer: Tokenizer, model: DynamicsModel, context_frames, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rain rates of the observed frames (T, H, W) -> the next `horizon` frames.
 
-    Tokenizes the normalized context, rolls the dynamics forward and decodes
-    the predicted ids back to rain rates. Returns (fields, ids): float64
-    (horizon, H, W) in the units of data_max, and int32 (horizon, H', W').
+    Tokenizes the context at the tokenizer's data scale, rolls the dynamics
+    forward and decodes the predicted ids back to rain rates. Returns (fields,
+    ids): float64 (horizon, H, W) and int32 (horizon, H', W').
     """
+    data_max = tokenizer.config.data_max
     context = tokenizer.tokenize(normalize(context_frames, data_max))  # (T, H', W')
     ids = rollout(model, context.reshape(context.shape[0], -1), horizon)
     ids = ids.reshape(horizon, *context.shape[1:])

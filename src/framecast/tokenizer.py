@@ -29,12 +29,15 @@ class TokenizerConfig:
     latent_dim: int = 32
     hidden_dim: int = 64
     beta: float = 0.25
+    data_max: float = 64.0  # the rain rate that normalizes to 1; fields enter at this scale
 
     def __post_init__(self):
         if self.patch_size < 1 or self.n_codes < 2 or self.latent_dim < 1 or self.hidden_dim < 1:
             raise ValueError("tokenizer dimensions must be positive (and n_codes >= 2)")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        if not 0.0 < self.data_max < float("inf"):
+            raise ValueError(f"data_max must be finite and positive, got {self.data_max}")
 
 
 def init_codebook(n_codes, latent_dim, rng) -> Tensor:

@@ -85,17 +85,20 @@ class ContingencyTable:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def contingency(pred, obs, tau) -> ContingencyTable:
-    """Contingency counts for threshold-exceedance events at tau."""
-    pred, obs = _check_shapes(pred, obs)
-    p = binarize(pred, tau)
-    o = binarize(obs, tau)
+def _table(p: np.ndarray, o: np.ndarray) -> ContingencyTable:
+    """Counts of forecast events p against observed events o (boolean arrays)."""
     return ContingencyTable(
         tp=int(np.sum(p & o)),
         fp=int(np.sum(p & ~o)),
         fn=int(np.sum(~p & o)),
         tn=int(np.sum(~p & ~o)),
     )
+
+
+def contingency(pred, obs, tau) -> ContingencyTable:
+    """Contingency counts for threshold-exceedance events at tau."""
+    pred, obs = _check_shapes(pred, obs)
+    return _table(binarize(pred, tau), binarize(obs, tau))
 
 
 def csi(table: ContingencyTable) -> float | None:
@@ -172,13 +175,9 @@ def roc_curve(scores, obs, tau_event, gammas) -> ROCCurve:
         )
     pts = []
     for gamma in gammas:
-        # tau is already applied to obs; gamma thresholds the forecast scores
-        forecast = scores >= gamma
-        tp = int(np.sum(forecast & events))
-        fp = int(np.sum(forecast & ~events))
-        fn = int(np.sum(~forecast & events))
-        tn = int(np.sum(~forecast & ~events))
-        pts.append((fp / (fp + tn), tp / (tp + fn)))
+        # gamma thresholds the scores; obs holds both classes, so both rates are defined
+        table = _table(scores >= gamma, events)
+        pts.append((pofd(table), pod(table)))
     pts.sort(key=lambda p: (p[0], p[1]))
     pts = [(0.0, 0.0)] + pts + [(1.0, 1.0)]
     return ROCCurve(np.asarray(pts))

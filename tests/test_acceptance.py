@@ -431,7 +431,8 @@ def _make_events(master_seed, count, n_frames=9):
 def _run_smoke_seed(seed):
     train_events = _make_events(seed * 1000 + 1, 40)
     held_out = _make_events(seed * 1000 + 2, 20)
-    tok_cfg = TokenizerConfig(patch_size=8, n_codes=1024, latent_dim=32, hidden_dim=64)
+    tok_cfg = TokenizerConfig(patch_size=8, n_codes=1024, latent_dim=32, hidden_dim=64,
+                              data_max=DATA_MAX)
     fields = normalize(np.concatenate([e.frames for e in train_events]), DATA_MAX)
     probe = fields[:24]
 
@@ -478,7 +479,7 @@ def _run_smoke_seed(seed):
     model_mse, persistence_mse = [], []
     for event in held_out:
         context = event.frames[:3]
-        predicted = forecast(tokenizer, model, context, 1, DATA_MAX)[0][0]
+        predicted = forecast(tokenizer, model, context, 1)[0][0]
         truth = event.frames[3].astype(np.float64)
         model_mse.append(float(((predicted - truth) ** 2).mean()))
         persistence = context[-1].astype(np.float64)

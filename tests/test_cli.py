@@ -54,6 +54,18 @@ def run(cfg_path, out, *argv):
     return main(["--config", str(cfg_path), "--out", str(out), *argv])
 
 
+def count_rollouts(monkeypatch) -> list:
+    """One entry per dynamics.rollout call from here on."""
+    rollouts, real = [], dynamics.rollout
+
+    def counting(*args, **kwargs):
+        rollouts.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "rollout", counting)
+    return rollouts
+
+
 class TestGenData:
     def test_writes_events_and_filtered_manifest(self, workspace):
         tmp_path, cfg_path = workspace
@@ -175,10 +187,11 @@ class TestTrainingCommands:
         assert run(cfg_path, out, "train-tokenizer") == 0
         shutil.copytree(out, other)
         assert run(cfg_path, out, "train-tokenizer", "--resume") == 0
-        write_config(TINY.with_overrides(codebook_size=64, beta=0.5), cfg_path)
+        write_config(TINY.with_overrides(codebook_size=64, beta=0.5, data_max=500.0), cfg_path)
         assert run(cfg_path, other, "train-tokenizer", "--resume") == 0
         _, meta = load_checkpoint(other / "checkpoints" / "tokenizer.ckpt")
-        assert (meta["n_codes"], meta["beta"], meta["step"]) == (32, 0.25, 2 * TINY.tokenizer_steps)
+        assert (meta["n_codes"], meta["beta"], meta["data_max"], meta["step"]) == (
+            32, 0.25, 50.0, 2 * TINY.tokenizer_steps)
         for name in ("checkpoints/tokenizer.ckpt", "reports/tokenizer_loss.csv"):
             assert (other / name).read_bytes() == (out / name).read_bytes()
 
@@ -228,7 +241,7 @@ class TestForecastAndEvaluate:
         tokenizer, _ = Tokenizer.load(out / "checkpoints" / "tokenizer.ckpt")
         model, _ = load_dynamics(out / "checkpoints" / f"dynamics_{mode}.ckpt")
         context = read_event(event_path).frames[: TINY.context_len]
-        fields, ids = forecast(tokenizer, model, context, TINY.horizon, TINY.data_max)
+        fields, ids = forecast(tokenizer, model, context, TINY.horizon)
         assert fields.dtype == np.float64 and ids.dtype == np.int32
         target = read_event(stem.with_suffix(".evt")).target
         assert target.dtype == np.float32
@@ -236,6 +249,20 @@ class TestForecastAndEvaluate:
         tokens, n_codes = read_tokens(stem.with_suffix(".tok"))
         assert n_codes == TINY.codebook_size
         assert np.array_equal(tokens, ids)
+
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_forecast_runs_at_the_tokenizers_scale(self, trained, mode):
+        # the data scale is the tokenizer checkpoint's, whatever the config says
+        _, cfg_path, out = trained
+        event_path = read_manifest(out / "data" / "manifest.txt")[0]
+        stem = out / "reports" / f"{event_path.stem}_{mode}_pred"
+        written = []
+        for cfg in (TINY, TINY.with_overrides(data_max=500.0)):
+            write_config(cfg, cfg_path)
+            assert run(cfg_path, out, "forecast", "--event", str(event_path), "--mode", mode) == 0
+            written.append([stem.with_suffix(suffix).read_bytes() for suffix in (".evt", ".tok")])
+        assert written[0] == written[1]
+        assert read_event(stem.with_suffix(".evt")).data_max == TINY.data_max
 
     def test_event_shorter_than_context_is_config_error(self, trained, tmp_path):
         _, cfg_path, out = trained
@@ -410,9 +437,9 @@ class TestForecastAndEvaluate:
         _, cfg_path, out = trained
         horizons = []
 
-        def spy(tokenizer, model, context, horizon, data_max):
+        def spy(tokenizer, model, context, horizon):
             horizons.append(horizon)
-            return forecast(tokenizer, model, context, horizon, data_max)
+            return forecast(tokenizer, model, context, horizon)
 
         monkeypatch.setattr(cli, "forecast", spy)
         assert run(cfg_path, out, "benchmark", "--reps", "1", "--horizon", "1") == 0
@@ -422,8 +449,9 @@ class TestForecastAndEvaluate:
 
     @pytest.mark.parametrize(
         "override",
-        [{"codebook_size": 64}, {"grid_h": 16, "grid_w": 16, "tokens_per_frame": 16}],
-        ids=["codebook", "grid"],
+        [{"codebook_size": 64}, {"grid_h": 16, "grid_w": 16, "tokens_per_frame": 16},
+         {"data_max": 500.0}],
+        ids=["codebook", "grid", "data_max"],
     )
     def test_benchmark_runs_the_checkpoints_settings(self, trained, override):
         _, cfg_path, out = trained
@@ -452,9 +480,29 @@ class TestForecastAndEvaluate:
         run(cfg_path, out, "train-dynamics")  # frame only
         assert run(cfg_path, out, "benchmark") == 3
 
+    @pytest.mark.parametrize("remove", ["tokenizer", "events"])
+    def test_benchmark_requires_the_tokenizer_and_events(self, workspace, monkeypatch, capsys,
+                                                         remove):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        ckpt = out / "checkpoints"
+        ckpt.mkdir()
+        if remove == "events":
+            Tokenizer(TINY.tokenizer_config(), seed=1).save(ckpt / "tokenizer.ckpt")
+            write_manifest([], out / "data" / "manifest.txt")
+        for mode in ("frame", "token"):
+            save_dynamics(DynamicsModel(TINY.dynamics_config(mode), seed=1),
+                          ckpt / f"dynamics_{mode}.ckpt")
+        rollouts = count_rollouts(monkeypatch)
+        assert run(cfg_path, out, "benchmark", "--reps", "1") == 3
+        assert capsys.readouterr().err.startswith("dependency error")
+        assert rollouts == []  # refused before any timing
+        assert not (out / "reports" / "benchmark.txt").exists()
+
 
 class TestMismatchedCheckpoint:
-    """A dynamics checkpoint that does not fit the model is an I/O error (exit 4)."""
+    """A checkpoint that does not fit its model is an I/O error (exit 4)."""
 
     @pytest.fixture()
     def untrained(self, workspace):
@@ -472,23 +520,37 @@ class TestMismatchedCheckpoint:
         cfg_path, out, _, event = untrained
         assert run(cfg_path, out, "forecast", "--event", str(event)) == 0
 
+    def test_missing_mode_names_its_training_command(self, untrained, capsys):
+        # plain train-dynamics trains the config's mode, frame here
+        cfg_path, out, _, event = untrained
+        assert run(cfg_path, out, "forecast", "--event", str(event), "--mode", "token") == 3
+        assert "run `train-dynamics --mode token` first" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "edit",
+        "name, edit, named",
         [
-            lambda arrays, meta: arrays.update({"head.w": np.zeros((3, 3)), "extra": np.ones(2)}),
-            lambda arrays, meta: arrays.pop("head.w"),
-            lambda arrays, meta: meta.pop("mode"),
-            lambda arrays, meta: arrays.update({k: v.astype(np.float32) for k, v in arrays.items()}),
+            ("dynamics_frame.ckpt",
+             lambda arrays, meta: arrays.update({"head.w": np.zeros((3, 3)), "extra": np.ones(2)}),
+             "['extra']"),
+            ("dynamics_frame.ckpt", lambda arrays, meta: arrays.pop("head.w"), "['head.w']"),
+            ("dynamics_frame.ckpt", lambda arrays, meta: meta.pop("mode"), "['mode']"),
+            # a tokenizer written before the checkpoint recorded its data scale
+            ("tokenizer.ckpt", lambda arrays, meta: meta.pop("data_max"), "['data_max']"),
+            ("dynamics_frame.ckpt",
+             lambda arrays, meta: arrays.update({k: v.astype(np.float32) for k, v in arrays.items()}),
+             "is float32"),
         ],
-        ids=["shape-and-extra", "missing-param", "missing-mode", "float32"],
+        ids=["shape-and-extra", "missing-param", "missing-mode", "missing-data-max", "float32"],
     )
-    def test_mismatched_entries(self, untrained, capsys, edit):
-        cfg_path, out, path, event = untrained
+    def test_mismatched_entries(self, untrained, capsys, name, edit, named):
+        cfg_path, out, _, event = untrained
+        path = out / "checkpoints" / name
         arrays, meta = load_checkpoint(path)
         edit(arrays, meta)
         save_checkpoint(path, arrays, meta)
         assert run(cfg_path, out, "forecast", "--event", str(event)) == 4
-        assert capsys.readouterr().err.startswith("I/O error")
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error") and named in err
 
     @pytest.mark.parametrize("dims", [b"16,x", b"-16,32"])
     def test_malformed_dims(self, untrained, capsys, dims):
@@ -533,13 +595,7 @@ class TestMismatchedPair:
 
     def test_benchmark(self, pair, capsys, monkeypatch):
         cfg_path, out = pair
-        rollouts, real = [], dynamics.rollout
-
-        def counting(*args, **kwargs):
-            rollouts.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "rollout", counting)
+        rollouts = count_rollouts(monkeypatch)
         assert run(cfg_path, out, "benchmark", "--reps", "1") == 2
         self._refused(capsys, out, "tokenizer.ckpt", "dynamics_frame.ckpt")
         assert rollouts == []  # refused before any timing

@@ -39,6 +39,9 @@ class TestRunConfig:
             {"filter_percentile": 150.0},
             {"filter_percentile": -1.0},
             {"filter_percentile": float("nan")},
+            {"data_max": 0.0},
+            {"data_max": float("nan")},
+            {"data_max": float("inf")},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -47,9 +50,10 @@ class TestRunConfig:
             RunConfig(**override)
 
     def test_derived_configs(self):
-        cfg = RunConfig()
+        cfg = RunConfig(data_max=50.0)
         tok = cfg.tokenizer_config()
         assert tok.patch_size == cfg.patch_size and tok.n_codes == cfg.codebook_size
+        assert tok.data_max == 50.0
         dyn = cfg.dynamics_config("token")
         assert dyn.mode == "token" and dyn.vocab_size == cfg.codebook_size
         assert cfg.train_config(7) == TrainConfig(steps=7, batch_size=cfg.batch_size, lr=cfg.lr,

@@ -85,13 +85,13 @@ def _write_report(path):
 # order or values of the verification report, or of the training trajectory.
 GOLDEN = {
     "event.evt": "7efaba1bb3360f3fafb0feab1b7a984fac498cf390f754bac5f96dab904e61d9",
-    "tokenizer.ckpt": "97f07529ae3b1ad683368527a32bb5bc35949038dcd0ea0b81d9ce4d7ec54f5b",
+    "tokenizer.ckpt": "5501fe2af280227360880bcfcc41324cceebbe7d81681e95f36f1cd4821a5dae",
     "dynamics.ckpt": "373a96af62015a0b60533b025d5eecafcaa5539697137560b6eb526457df32cd",
     "bare.evt": "e5e7197c166bf123443045705e782b9dfa2ad87134d9f16ad0fc09b8353b5337",
     "generic.ckpt": "514020f74e223089111ddde7021c1683e3b0a1dde96b7d6baee143a0934e3050",
     "tokens.tok": "85050ab1efa459444ea33ea0deeb408761c2a04f8090705f5e3873e05a29601f",
     "evaluation.csv": "bc79c21f18b26aee99678486509bc4b905da2bd06004781f5b1a7483e64a9248",
-    "tokenizer_trained.ckpt": "ede35434f0140e2f7fbfb50f316405cb8287ed70339ba223784cac0788d8a0b1",
+    "tokenizer_trained.ckpt": "ff31f74aae2bb399c63d7028f28e4cfd16a21c0533e8d193ef46db7bf05ad35e",
     "dynamics_frame_trained.ckpt": "a3fd72128170a232172670075ebcb9ce7bdde2f4fc134fbdc93a52eea978aabb",
     "dynamics_token_trained.ckpt": "b24e6e446d9c1b7c374defc13cd1c61aae85adc747192c77ddd89cfd3195cf2a",
 }

@@ -410,6 +410,11 @@ class TestTraining:
         for k in tok.trainable():
             assert np.array_equal(back.trainable()[k].data, tok.trainable()[k].data)
 
+    @pytest.mark.parametrize("data_max", [0.0, -1.0, float("nan"), float("inf")])
+    def test_data_max_must_be_finite_and_positive(self, data_max):
+        with pytest.raises(ValueError, match="data_max"):
+            TokenizerConfig(data_max=data_max)
+
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         path = tmp_path / "tok.ckpt"
         Tokenizer(TOY, seed=8).save(path)
