@@ -8,9 +8,17 @@ all gradient checks run at.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
+
+
+# A Python or numpy number enters +, - and * as is, without a lifted Tensor:
+# numpy gives the bytes it gives the 0-d float64 array, and a lifted
+# constant never was a parent, so the tape is the same.
+_SCALARS = (float, int, np.floating, np.integer)
 
 
 def _unbroadcast(grad, shape):
@@ -24,25 +32,33 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _accumulate(node, g, owned=False):
+def _accumulate(node, g, owned=False, clean=False):
     """Add one chain-rule contribution to node.grad, allocating it on the first.
 
     The first contribution is stored as 0.0 + g in an array laid out like
-    node.data: a transposed view g would otherwise change the order of
-    later reductions, and 0.0 + g turns -0.0 into +0.0, so the bytes match
-    summing every contribution onto zeros. When g is owned (a fresh array
-    the closure built and nothing else holds) and is C-contiguous like the
-    data, 0.0 + g is taken in place on g instead of on a copy.
+    node.data (as np.empty_like lays it out): a transposed view g would
+    otherwise change the order of later reductions, and 0.0 + g turns -0.0
+    into +0.0, so the bytes match summing every contribution onto zeros.
+
+    When g is owned (nothing else reads it afterwards: a fresh array the
+    closure built, or the closure's own gradient or a view of it, handed
+    over) and is C-contiguous where the data's layout is too, g itself
+    becomes node.grad. A gradient never holds -0.0, and neither does a sum
+    or a view of one, so a clean g is adopted as is; any other owned g has
+    0.0 + g taken in place.
     """
-    if node.grad is None:
-        data = node.data
-        if (owned and type(g) is np.ndarray and g.shape == data.shape
-                and g.flags.c_contiguous and data.flags.c_contiguous):
-            node.grad = np.add(0.0, g, out=g)
-        else:
-            node.grad = np.add(0.0, g, out=np.empty_like(data))
-    else:
+    if node.grad is not None:
         node.grad += g
+        return
+    data = node.data
+    # the layout np.empty_like gives a non-contiguous data (C order for a
+    # strided slice, say); None where data is C-contiguous itself
+    like = None if data.flags.c_contiguous else np.empty_like(data)
+    if (owned and type(g) is np.ndarray and g.shape == data.shape and g.flags.c_contiguous
+            and (like is None or like.flags.c_contiguous)):
+        node.grad = g if clean else np.add(0.0, g, out=g)
+    else:
+        node.grad = np.add(0.0, g, out=np.empty_like(data) if like is None else like)
 
 
 class Tensor:
@@ -98,20 +114,34 @@ class Tensor:
     # ---- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            def backward(g):
+                _accumulate(self, g, owned=True, clean=True)
+
+            return Tensor._make(self.data + other, (self,), backward)
         other = Tensor._lift(other)
         out_data = self.data + other.data
 
         def backward(g):
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(g, other.data.shape))
+            # g is handed over to the last parent that takes it whole; a part
+            # reduced to a broadcast operand's shape is a fresh sum of it
+            mine = _unbroadcast(g, self.data.shape) if self.requires_grad else None
+            theirs = _unbroadcast(g, other.data.shape) if other.requires_grad else None
+            if mine is not None:
+                _accumulate(self, mine, owned=mine is not g or theirs is not g, clean=True)
+            if theirs is not None:
+                _accumulate(other, theirs, owned=True, clean=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            def backward(g):
+                _accumulate(self, g * other, owned=True)
+
+            return Tensor._make(self.data * other, (self,), backward)
         other = Tensor._lift(other)
         out_data = self.data * other.data
 
@@ -129,8 +159,9 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other):
-        other = Tensor._lift(other)
-        return self + (-other)
+        if isinstance(other, _SCALARS):
+            return self + other * -1.0
+        return self + (-Tensor._lift(other))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -159,11 +190,23 @@ class Tensor:
         out_data *= 1.0 + t
 
         def backward(g):
+            # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner) with
+            # d_inner = c * (1.0 + 3 * 0.044715 * x**2), op by op in two buffers
             if self.requires_grad:
-                d_inner = c * (1.0 + 3 * 0.044715 * x**2)
-                _accumulate(
-                    self, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner), owned=True
-                )
+                a = t * t
+                np.subtract(1.0, a, out=a)
+                b = x * 0.5
+                b *= a
+                np.multiply(x, x, out=a)
+                a *= 3 * 0.044715
+                a += 1.0
+                a *= c
+                b *= a
+                np.add(1.0, t, out=a)
+                a *= 0.5
+                a += b
+                a *= g
+                _accumulate(self, a, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -218,7 +261,12 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else self.data.shape[axis]
+        if axis is None:
+            count = self.data.size
+        elif isinstance(axis, tuple):
+            count = math.prod(self.data.shape[a] for a in axis)
+        else:
+            count = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape):
@@ -229,7 +277,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                _accumulate(self, g.reshape(old_shape))
+                _accumulate(self, g.reshape(old_shape), owned=True, clean=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -240,7 +288,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                _accumulate(self, g.transpose(inverse))
+                _accumulate(self, g.transpose(inverse), owned=True, clean=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -254,8 +302,17 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[index] += g
+                    # zeros outside the slice and g (a gradient, so 0.0 + g
+                    # is g) inside, each element written once
+                    grad = np.empty_like(self.data)
+                    lo, hi, _ = index[axis].indices(grad.shape[axis])
+                    along = np.moveaxis(grad, axis, 0)
+                    along[:lo] = 0.0
+                    along[max(lo, hi):] = 0.0
+                    grad[index] = g
+                    self.grad = grad
+                else:
+                    self.grad[index] += g
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -284,6 +341,8 @@ class Tensor:
         Gradients are allocated on their first contribution, and an inner
         node's gradient is dropped once its closure has passed it on: after
         the pass, leaves and this output hold .grad, inner nodes hold None.
+        A closure owns the gradient it is called with, and may hand it over
+        to a parent, so this output's closure gets a copy of its ones.
         """
         if self.data.size != 1:
             raise ConfigError("backward() must start from a scalar")
@@ -305,11 +364,12 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        if self._backward is not None:
+            self._backward(self.grad.copy())
+        for node in reversed(order[:-1]):
             if node._backward is not None:
                 node._backward(node.grad)
-                if node is not self:
-                    node.grad = None
+                node.grad = None
 
 
 def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
@@ -319,29 +379,31 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
     A fully masked slice yields all zeros, the documented sentinel.
     """
     data = x.data
-    if mask is None:
-        allowed = np.ones_like(data, dtype=bool)
-    else:
-        allowed = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-    masked = np.where(allowed, data, -np.inf)
-    peak = masked.max(axis=axis, keepdims=True)
-    live = np.isfinite(peak)
-    if live.all():
+    allowed = True if mask is None else np.asarray(mask, dtype=bool)
+    peak = data.max(axis=axis, keepdims=True, where=allowed, initial=-np.inf)
+    if np.isfinite(peak).all():
         # every slice has a finite peak, so its exp sum is at least 1 and the
-        # general path below reduces to e / denom, done in place on e. (Doing
-        # the shift and exp in place too cost more minor page faults than it
-        # saved under glibc's default allocator settings.)
-        out_data = np.exp(masked - peak)
+        # general rule reduces to e / denom. Only allowed entries are shifted
+        # and exponentiated, into zeros: a masked score never reaches exp,
+        # which also skips exp's slow path on -inf.
+        out_data = np.zeros_like(data)
+        np.subtract(data, peak, out=out_data, where=allowed)
+        np.exp(out_data, out=out_data, where=allowed)
         out_data /= out_data.sum(axis=axis, keepdims=True)
     else:
-        e = np.exp(masked - np.where(live, peak, 0.0))
+        masked = np.where(allowed, data, -np.inf)
+        e = np.exp(masked - np.where(np.isfinite(peak), peak, 0.0))
         denom = e.sum(axis=axis, keepdims=True)
         out_data = np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
 
     def backward(g):
+        # out_data * (g - (g * out_data).sum()), in one buffer
         if x.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(x, out_data * (g - inner), owned=True)
+            grad = g * out_data
+            inner = grad.sum(axis=axis, keepdims=True)
+            np.subtract(g, inner, out=grad)
+            grad *= out_data
+            _accumulate(x, grad, owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -373,7 +435,8 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     picks = targets[..., None]
     # the max shift keeps exp() in range without touching the gradient
     shift = data.max(axis=-1, keepdims=True)
-    e = np.exp(data - shift)
+    e = data - shift
+    np.exp(e, out=e)
     total = e.sum(axis=-1, keepdims=True)
     rows = np.log(total) + shift - np.take_along_axis(data, picks, axis=-1)
     scale = 1.0 / rows.size

@@ -50,17 +50,32 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """One update of every parameter with a gradient, in place:
+        m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
+        p -= lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
+        m_hat = m / (1 - beta1**t) and v_hat = v / (1 - beta2**t), op by op
+        in that order, in two temporaries."""
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        m_scale, v_scale = 1.0 - self.beta1**t, 1.0 - self.beta2**t
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / (1.0 - self.beta1**t)
-            v_hat = self._v[i] / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            step = np.multiply(g, 1.0 - self.beta1)
+            m += step
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=step)
+            step *= g
+            v += step
+            np.divide(m, m_scale, out=step)
+            step *= self.lr
+            denom = v / v_scale
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
     def update(self, loss: Tensor, lr: float) -> float:
         """Backward from a finite scalar loss, then one step at lr; returns

@@ -67,6 +67,66 @@ class TestBasics:
         y.sum().backward()
         assert x.grad[0] == pytest.approx(2 * 3.0 + 2.0)
 
+    @pytest.mark.parametrize("axis", [None, 1, -1, (0, 1), (-1, 0), (0, 2, 1)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_matches_numpy(self, axis, keepdims):
+        x0 = np.random.default_rng(14).normal(size=(2, 3, 5))
+        x = Tensor(x0, requires_grad=True)
+        out = x.mean(axis=axis, keepdims=keepdims)
+        want = x0.mean(axis=axis, keepdims=keepdims)
+        assert out.shape == want.shape
+        assert np.allclose(out.data, want, rtol=1e-15, atol=0.0)
+        out.sum().backward()
+        assert np.array_equal(x.grad, np.full(x0.shape, want.size / x0.size))
+
+
+def _tape(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestScalarOperands:
+    """A number used as an operand gives the bytes and the tape of the same
+    op with the number lifted to a Tensor, the slow reference."""
+
+    CASES = {
+        "mul": (lambda x: x * 0.5, lambda x: x * Tensor(0.5)),
+        "rmul_int": (lambda x: -3 * x, lambda x: Tensor(-3) * x),
+        "mul_negative_zero": (lambda x: x * -0.0, lambda x: x * Tensor(-0.0)),
+        "mul_float32": (lambda x: x * np.float32(0.1), lambda x: x * Tensor(np.float32(0.1))),
+        "scale": (lambda x: x * (1.0 / np.sqrt(8)), lambda x: x * Tensor(1.0 / np.sqrt(8))),
+        "add": (lambda x: x + 1e-5, lambda x: x + Tensor(1e-5)),
+        "radd": (lambda x: np.float64(1.5) + x, lambda x: Tensor(1.5) + x),
+        "sub": (lambda x: x - 0.25, lambda x: x - Tensor(0.25)),
+        "sub_unsigned": (lambda x: x - np.uint8(2), lambda x: x - Tensor(np.uint8(2))),
+        "neg": (lambda x: -x, lambda x: x * Tensor(-1.0)),
+        "mean": (lambda x: x.mean(axis=(0, 2)), lambda x: x.sum(axis=(0, 2)) * Tensor(1.0 / 8)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_number_matches_lifted_tensor(self, case):
+        x0 = np.random.default_rng(15).normal(size=(2, 3, 4))
+        results = []
+        for build in self.CASES[case]:
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = build(x)
+            w = np.random.default_rng(16).normal(size=out.shape)
+            w.flat[::3] = 0.0  # zero gradients, so signed zeros would show
+            loss = (out * Tensor(w)).sum()
+            loss.backward()
+            results.append((out.data.tobytes(), x.grad.tobytes(), len(_tape(loss))))
+        assert results[0] == results[1]
+
+    def test_a_number_is_never_a_parent(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        for out in (x * 2.0, 2.0 * x, x + 1, 1 + x, x - 0.5, -x):
+            assert out._parents == (x,)
+
 
 class TestMake:
     def test_numpy_scalar_becomes_a_float64_array(self):
@@ -165,6 +225,21 @@ class TestSoftmax:
             scores = rng.normal(scale=4.0, size=(2, 2) + allow.shape)
             out = softmax(Tensor(scores), mask=allow).data
             assert out.tobytes() == softmax_reference(scores, allow).tobytes()
+
+    def test_masked_scores_never_reach_exp(self):
+        # masked slots hold a score whose exp (or shift) would overflow, and
+        # the step guard's errstate turns any such overflow into an error
+        rng = np.random.default_rng(17)
+        allow = build_block_causal_mask(4, 3).allow
+        scores = rng.normal(scale=4.0, size=(2, 2) + allow.shape)
+        scores[..., ~allow] = 1e308
+        x = Tensor(scores, requires_grad=True)
+        w = Tensor(rng.normal(size=scores.shape))
+        with np.errstate(over="raise"):
+            out = softmax(x, mask=allow)
+            (out * w).sum().backward()
+        assert out.data.tobytes() == softmax_reference(scores, allow).tobytes()
+        assert np.all(np.isfinite(x.grad)) and np.all(x.grad[..., ~allow] == 0.0)
 
     def test_fully_masked_and_non_finite_rows_match_the_general_rule(self):
         rng = np.random.default_rng(9)
@@ -326,6 +401,9 @@ def _ops(rng):
     rows = np.array([0, 3, 3, 1])
     return {
         "add": lambda a, b: ((a + b) * (a + 1.5)).sum(),
+        "add_self": lambda a, b: ((a + a) * b + (b + b)).sum(),
+        "add_constant_side": lambda a, b: ((a + Tensor(weights)) * b + (Tensor(weights[0]) + a) * a).sum(),
+        "add_root": lambda a, b: (lambda u: u * 2.0 + u)((a * b).sum()),
         "mul": lambda a, b: (a * b * a).sum(),
         "neg_sub": lambda a, b: ((-a - b) * a).sum(),
         "pow": lambda a, b: ((a * a + 1.0) ** -0.5 * b).sum(),
@@ -335,12 +413,17 @@ def _ops(rng):
         "sum": lambda a, b: (a.sum(axis=0) * b.sum(axis=1, keepdims=True)).sum() + a.sum(),
         "mean": lambda a, b: (a.mean(axis=1, keepdims=True) * b).mean(),
         "reshape": lambda a, b: (a.reshape(6, 4) * b.reshape((6, 4))).sum(),
+        "reshape_chain": lambda a, b: (a.reshape(6, 4).reshape(2, 12).reshape(24) * b.reshape(24)).sum()
+        + (a.reshape(24).reshape(3, 8) * 3.0).sum(),
         "transpose": lambda a, b: (a.transpose((1, 0)) @ b).sum(),
         "slice_axis": lambda a, b: (a.slice_axis(1, 0, 4) * a.slice_axis(1, 2, 6) * b.slice_axis(1, 1, 5)).sum(),
+        "slice_axis_ends": lambda a, b: (a.slice_axis(0, -3, None) * b.slice_axis(0, 0, 3)).sum()
+        + (a.slice_axis(1, 5, 6) * b.slice_axis(1, 4, 4).sum()).sum(),
         "gather_rows": lambda a, b: (a.gather_rows(rows) * b + a.gather_rows(rows[::-1]) * 2.0).sum(),
         "softmax": lambda a, b: (softmax(a, mask=weights > -0.5) * b).sum(),
         "layer_norm": lambda a, b: (layer_norm(a, b.slice_axis(0, 0, 1), b.slice_axis(0, 1, 2)) * a).sum(),
         "cross_entropy": lambda a, b: cross_entropy_logits(a @ b.transpose((1, 0)) @ a, rows),
+        "cross_entropy_slice": lambda a, b: cross_entropy_logits((a @ b.transpose((1, 0))).slice_axis(1, 0, 3), rows % 3),
     }
 
 
@@ -358,6 +441,17 @@ class TestLazyGradients:
         a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         assert_backward_matches_eager(build(a, b), [a, b])
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_root_gradient_still_reads_ones(self, op):
+        # the root's closure may hand its gradient over; the root's own
+        # ones must not be the array handed over
+        rng = np.random.default_rng(40)
+        a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        loss = _ops(rng)[op](a, b)
+        loss.backward()
+        assert loss.grad.tobytes() == np.ones(()).tobytes()
 
     def test_transposed_first_contribution(self):
         # h's first contribution is a transposed view of its consumer's

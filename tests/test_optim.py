@@ -65,6 +65,38 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_in_place_steps_match_the_textbook_update(self):
+        # the out-of-place update, op by op, is the reference for the bytes
+        rng = np.random.default_rng(22)
+        shapes = [(3, 4), (5,), (3, 4), (2, 3)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        want = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        lr, beta1, beta2, eps = 3e-2, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        for t in range(1, 6):
+            grads = [
+                rng.normal(size=(3, 4)),
+                None if t in (2, 3) else rng.normal(size=5),
+                rng.normal(size=(4, 3)).T,  # non-contiguous
+                (rng.normal(size=(2, 6)) * (t % 2))[:, ::2],  # strided, zero at even steps
+            ]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                if g is None:
+                    continue
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+                m_hat = m[i] / (1.0 - beta1**t)
+                v_hat = v[i] / (1.0 - beta2**t)
+                want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for p, w in zip(params, want):
+                assert p.data.tobytes() == w.tobytes()
+        assert opt.step_count == 5
+
     def test_descends_quadratic(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
         opt = Adam([p], lr=0.05)
