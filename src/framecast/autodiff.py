@@ -15,10 +15,17 @@ import numpy as np
 from .errors import ConfigError
 
 
-# A Python or numpy number enters +, - and * as is, without a lifted Tensor:
-# numpy gives the bytes it gives the 0-d float64 array, and a lifted
-# constant never was a parent, so the tape is the same.
-_SCALARS = (float, int, np.floating, np.integer)
+def _operand(other):
+    """(data, node) for an op's second operand: a Tensor's data and itself, or
+    a constant (a Python or numpy number, an ndarray) and None. numpy combines
+    a constant as is, with the bytes of its float64 value, and the tape never
+    records it. Backward closures call this again rather than capture both
+    results: a default-config pass's tape sits just under the collector's
+    700-object threshold, and one more captured cell per op crosses it.
+    """
+    if isinstance(other, Tensor):
+        return other.data, other
+    return other, None
 
 
 def _unbroadcast(grad, shape):
@@ -75,12 +82,6 @@ class Tensor:
     # ---- construction helpers -------------------------------------------
 
     @staticmethod
-    def _lift(other):
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(other)
-
-    @staticmethod
     def _make(data, parents, backward):
         """An op's output node; it records only the parents that need a gradient.
 
@@ -90,7 +91,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         if type(data) is not np.ndarray or data.dtype != np.float64:
             data = np.asarray(data, dtype=np.float64)
-        live = tuple(p for p in parents if p.requires_grad)
+        live = tuple(p for p in parents if p is not None and p.requires_grad)
         out.data = data
         out.grad = None
         out.requires_grad = bool(live)
@@ -114,44 +115,35 @@ class Tensor:
     # ---- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            def backward(g):
-                _accumulate(self, g, owned=True, clean=True)
-
-            return Tensor._make(self.data + other, (self,), backward)
-        other = Tensor._lift(other)
-        out_data = self.data + other.data
+        other_data, node = _operand(other)
 
         def backward(g):
+            node = _operand(other)[1]
             # g is handed over to the last parent that takes it whole; a part
             # reduced to a broadcast operand's shape is a fresh sum of it
             mine = _unbroadcast(g, self.data.shape) if self.requires_grad else None
-            theirs = _unbroadcast(g, other.data.shape) if other.requires_grad else None
+            theirs = (_unbroadcast(g, node.data.shape)
+                      if node is not None and node.requires_grad else None)
             if mine is not None:
                 _accumulate(self, mine, owned=mine is not g or theirs is not g, clean=True)
             if theirs is not None:
-                _accumulate(other, theirs, owned=True, clean=True)
+                _accumulate(node, theirs, owned=True, clean=True)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data + other_data, (self, node), backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            def backward(g):
-                _accumulate(self, g * other, owned=True)
-
-            return Tensor._make(self.data * other, (self,), backward)
-        other = Tensor._lift(other)
-        out_data = self.data * other.data
+        other_data, node = _operand(other)
 
         def backward(g):
+            other_data, node = _operand(other)
             if self.requires_grad:
-                _accumulate(self, _unbroadcast(g * other.data, self.data.shape), owned=True)
-            if other.requires_grad:
-                _accumulate(other, _unbroadcast(g * self.data, other.data.shape), owned=True)
+                _accumulate(self, _unbroadcast(g * other_data, self.data.shape), owned=True)
+            if node is not None and node.requires_grad:
+                _accumulate(node, _unbroadcast(g * self.data, other_data.shape), owned=True)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data * other_data, (self, node), backward)
 
     __rmul__ = __mul__
 
@@ -159,9 +151,8 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self + other * -1.0
-        return self + (-Tensor._lift(other))
+        # a constant is negated by numpy, a Tensor by __mul__
+        return self + other * -1.0
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -169,8 +160,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(g):
-            if self.requires_grad:
-                _accumulate(self, g * (exponent * self.data ** (exponent - 1)), owned=True)
+            _accumulate(self, g * (exponent * self.data ** (exponent - 1)), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -192,21 +182,20 @@ class Tensor:
         def backward(g):
             # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner) with
             # d_inner = c * (1.0 + 3 * 0.044715 * x**2), op by op in two buffers
-            if self.requires_grad:
-                a = t * t
-                np.subtract(1.0, a, out=a)
-                b = x * 0.5
-                b *= a
-                np.multiply(x, x, out=a)
-                a *= 3 * 0.044715
-                a += 1.0
-                a *= c
-                b *= a
-                np.add(1.0, t, out=a)
-                a *= 0.5
-                a += b
-                a *= g
-                _accumulate(self, a, owned=True)
+            a = t * t
+            np.subtract(1.0, a, out=a)
+            b = x * 0.5
+            b *= a
+            np.multiply(x, x, out=a)
+            a *= 3 * 0.044715
+            a += 1.0
+            a *= c
+            b *= a
+            np.add(1.0, t, out=a)
+            a *= 0.5
+            a += b
+            a *= g
+            _accumulate(self, a, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -215,35 +204,34 @@ class Tensor:
         out_data = np.clip(self.data, 0.0, 1.0)
 
         def backward(g):
-            if self.requires_grad:
-                inside = (self.data >= 0.0) & (self.data <= 1.0)
-                _accumulate(self, g * inside, owned=True)
+            inside = (self.data >= 0.0) & (self.data <= 1.0)
+            _accumulate(self, g * inside, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     # ---- linear algebra / shaping ------------------------------------------
 
     def matmul(self, other):
-        other = Tensor._lift(other)
-        if self.data.ndim < 2 or other.data.ndim < 2:
+        other_data, node = _operand(other)
+        if self.data.ndim < 2 or np.ndim(other_data) < 2:
             raise ValueError("matmul operands must be at least 2D")
-        if self.data.shape[-1] != other.data.shape[-2]:
+        if self.data.shape[-1] != other_data.shape[-2]:
             raise ValueError(
-                f"matmul shape mismatch: {self.data.shape} @ {other.data.shape}"
+                f"matmul shape mismatch: {self.data.shape} @ {other_data.shape}"
             )
-        out_data = self.data @ other.data
 
         def backward(g):
+            other_data, node = _operand(other)
             if self.requires_grad:
                 _accumulate(
-                    self, _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape), owned=True
+                    self, _unbroadcast(g @ np.swapaxes(other_data, -1, -2), self.data.shape), owned=True
                 )
-            if other.requires_grad:
+            if node is not None and node.requires_grad:
                 _accumulate(
-                    other, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape), owned=True
+                    node, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other_data.shape), owned=True
                 )
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data @ other_data, (self, node), backward)
 
     __matmul__ = matmul
 
@@ -251,12 +239,8 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if self.requires_grad:
-                if axis is None:
-                    _accumulate(self, np.broadcast_to(g, self.data.shape))
-                else:
-                    g_keep = g if keepdims else np.expand_dims(g, axis)
-                    _accumulate(self, np.broadcast_to(g_keep, self.data.shape))
+            kept = g if axis is None or keepdims else np.expand_dims(g, axis)
+            _accumulate(self, np.broadcast_to(kept, self.data.shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -276,8 +260,7 @@ class Tensor:
         old_shape = self.data.shape
 
         def backward(g):
-            if self.requires_grad:
-                _accumulate(self, g.reshape(old_shape), owned=True, clean=True)
+            _accumulate(self, g.reshape(old_shape), owned=True, clean=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -287,8 +270,7 @@ class Tensor:
         inverse = tuple(np.argsort(axes))
 
         def backward(g):
-            if self.requires_grad:
-                _accumulate(self, g.transpose(inverse), owned=True, clean=True)
+            _accumulate(self, g.transpose(inverse), owned=True, clean=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -300,19 +282,18 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(g):
-            if self.requires_grad:
-                if self.grad is None:
-                    # zeros outside the slice and g (a gradient, so 0.0 + g
-                    # is g) inside, each element written once
-                    grad = np.empty_like(self.data)
-                    lo, hi, _ = index[axis].indices(grad.shape[axis])
-                    along = np.moveaxis(grad, axis, 0)
-                    along[:lo] = 0.0
-                    along[max(lo, hi):] = 0.0
-                    grad[index] = g
-                    self.grad = grad
-                else:
-                    self.grad[index] += g
+            if self.grad is None:
+                # zeros outside the slice and g (a gradient, so 0.0 + g is g)
+                # inside, each element written once
+                grad = np.empty_like(self.data)
+                lo, hi, _ = index[axis].indices(grad.shape[axis])
+                along = np.moveaxis(grad, axis, 0)
+                along[:lo] = 0.0
+                along[max(lo, hi):] = 0.0
+                grad[index] = g
+                self.grad = grad
+            else:
+                self.grad[index] += g
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -326,10 +307,9 @@ class Tensor:
         out_data = self.data[indices]
 
         def backward(g):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, indices.reshape(-1), g.reshape(-1, self.data.shape[1]))
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, indices.reshape(-1), g.reshape(-1, self.data.shape[1]))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -398,12 +378,11 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
 
     def backward(g):
         # out_data * (g - (g * out_data).sum()), in one buffer
-        if x.requires_grad:
-            grad = g * out_data
-            inner = grad.sum(axis=axis, keepdims=True)
-            np.subtract(g, inner, out=grad)
-            grad *= out_data
-            _accumulate(x, grad, owned=True)
+        grad = g * out_data
+        inner = grad.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=grad)
+        grad *= out_data
+        _accumulate(x, grad, owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -442,11 +421,10 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     scale = 1.0 / rows.size
 
     def backward(g):
-        if logits.requires_grad:
-            g_row = g * scale
-            grad = e * (g_row / total)
-            np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
-            _accumulate(logits, grad, owned=True)
+        g_row = g * scale
+        grad = e * (g_row / total)
+        np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
+        _accumulate(logits, grad, owned=True)
 
     return Tensor._make(rows.sum() * scale, (logits,), backward)
 

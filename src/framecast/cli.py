@@ -195,14 +195,15 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
 
 def cmd_train_tokenizer(cfg: RunConfig, args) -> int:
     data_dir, ckpt_dir, report_dir = _paths(cfg, args.out)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    report_dir.mkdir(parents=True, exist_ok=True)
     events = _load_dataset(data_dir)
     ckpt = _tokenizer_path(ckpt_dir)
     if args.resume and ckpt.exists():
         tokenizer, start_step = Tokenizer.load(ckpt)
     else:
         tokenizer, start_step = Tokenizer(cfg.tokenizer_config(), seed=cfg.seed), 0
+    # made only now, so a tokenizer config error leaves nothing behind
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    report_dir.mkdir(parents=True, exist_ok=True)
     # a resumed tokenizer keeps the data scale it was created with
     fields = normalize(np.concatenate([e.frames for e in events]), tokenizer.config.data_max)
     tokenizer, log = train_tokenizer(

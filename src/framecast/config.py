@@ -94,8 +94,9 @@ class RunConfig:
             raise ConfigError(f"filter_percentile must be in [0, 100], got {self.filter_percentile}")
         if self.n_frames < self.context_len + 1:
             raise ConfigError("n_frames must leave at least one target frame")
-        if not 0.0 < self.data_max < float("inf"):
-            raise ConfigError(f"data_max must be finite and positive, got {self.data_max}")
+        for name in ("data_max", "beta"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("batch_size", "warmup_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -156,7 +157,7 @@ def _coerce(name: str, text: str, target_type):
 
 def parse_config_text(text: str) -> RunConfig:
     types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -167,6 +168,9 @@ def parse_config_text(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
+        if key in lines:
+            raise ConfigError(f"config key {key!r} is set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         values[key] = _coerce(key, value, types[key])
     try:
         return RunConfig(**values)

@@ -22,6 +22,10 @@ from .container import Container, ContainerError
 from .optim import Adam, TrainConfig, guarded_step, warmup_lr
 
 
+# a .tok file stores each token id as uint16, so it addresses at most this many codes
+MAX_CODES = 65536
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
     patch_size: int = 8
@@ -34,8 +38,10 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.patch_size < 1 or self.n_codes < 2 or self.latent_dim < 1 or self.hidden_dim < 1:
             raise ValueError("tokenizer dimensions must be positive (and n_codes >= 2)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if self.n_codes > MAX_CODES:
+            raise ValueError(f"n_codes must be at most {MAX_CODES}, got {self.n_codes}")
+        if not 0.0 < self.beta < float("inf"):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if not 0.0 < self.data_max < float("inf"):
             raise ValueError(f"data_max must be finite and positive, got {self.data_max}")
 
@@ -378,12 +384,12 @@ _TOK_HEADER = {"n_frames": int, "h_lat": int, "w_lat": int, "n_codes": int}
 
 
 def write_tokens(path, indices: np.ndarray, n_codes: int) -> None:
-    """Store token indices (T, H', W') as uint16 (valid while n_codes <= 65536)."""
+    """Store token indices (T, H', W') as uint16 (valid while n_codes <= MAX_CODES)."""
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     if indices.ndim != 3:
         raise ValueError(f"token stack must be (T, H', W'), got {indices.shape}")
-    if n_codes > 65536:
-        raise ValueError("uint16 payload cannot address more than 65536 codes")
+    if n_codes > MAX_CODES:
+        raise ValueError(f"uint16 payload cannot address more than {MAX_CODES} codes")
     if indices.size and (indices.min() < 0 or indices.max() >= n_codes):
         raise ValueError("token index out of range")
     header = zip(_TOK_HEADER, (*indices.shape, n_codes))

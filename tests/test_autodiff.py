@@ -90,9 +90,19 @@ def _tape(root):
     return list(seen.values())
 
 
+_F32 = np.random.default_rng(17).normal(size=(2, 3, 4)).astype(np.float32)
+_I64 = np.arange(-12, 12, dtype=np.int64).reshape(2, 3, 4)
+_ROW = np.random.default_rng(18).normal(size=4)  # broadcast onto x's (2, 3, 4)
+_UP = np.random.default_rng(19).normal(size=(3, 1, 1, 1))  # broadcasts x up to (3, 2, 3, 4)
+_W = np.random.default_rng(20).normal(size=(4, 5)).astype(np.float32)
+
+
 class TestScalarOperands:
-    """A number used as an operand gives the bytes and the tape of the same
-    op with the number lifted to a Tensor, the slow reference."""
+    """A constant operand (a number or an ndarray) gives the bytes and the tape
+    of the same op with the constant lifted to a Tensor, the slow reference.
+
+    numpy's own operators would map an ndarray on the left over x's elements,
+    so its reflected forms call x's method directly."""
 
     CASES = {
         "mul": (lambda x: x * 0.5, lambda x: x * Tensor(0.5)),
@@ -106,6 +116,21 @@ class TestScalarOperands:
         "sub_unsigned": (lambda x: x - np.uint8(2), lambda x: x - Tensor(np.uint8(2))),
         "neg": (lambda x: -x, lambda x: x * Tensor(-1.0)),
         "mean": (lambda x: x.mean(axis=(0, 2)), lambda x: x.sum(axis=(0, 2)) * Tensor(1.0 / 8)),
+        "add_float32_array": (lambda x: x + _F32, lambda x: x + Tensor(_F32)),
+        "mul_int64_array": (lambda x: x * _I64, lambda x: x * Tensor(_I64)),
+        "add_0d_array": (lambda x: x + np.array(0.75), lambda x: x + Tensor(0.75)),
+        "mul_0d_int_array": (lambda x: x * np.array(-2), lambda x: x * Tensor(-2)),
+        "radd_0d_array": (lambda x: np.array(1.5) + x, lambda x: Tensor(1.5) + x),
+        "mul_broadcast_row": (lambda x: x * _ROW, lambda x: x * Tensor(_ROW)),
+        "add_broadcast_up": (lambda x: x + _UP, lambda x: x + Tensor(_UP)),
+        "mul_broadcast_up": (lambda x: x * _UP, lambda x: x * Tensor(_UP)),
+        "radd_array": (lambda x: x.__radd__(_ROW), lambda x: Tensor(_ROW) + x),
+        "rmul_array": (lambda x: x.__rmul__(_F32), lambda x: Tensor(_F32) * x),
+        "sub_array": (lambda x: x - _I64, lambda x: x - Tensor(_I64)),
+        "sub_broadcast_up": (lambda x: x - _UP, lambda x: x - Tensor(_UP)),
+        "sub_unsigned_array": (lambda x: x - np.arange(4, dtype=np.uint8),
+                               lambda x: x - Tensor(np.arange(4, dtype=np.uint8))),
+        "matmul_array": (lambda x: x @ _W, lambda x: x @ Tensor(_W)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -126,6 +151,13 @@ class TestScalarOperands:
         x = Tensor(np.ones(3), requires_grad=True)
         for out in (x * 2.0, 2.0 * x, x + 1, 1 + x, x - 0.5, -x):
             assert out._parents == (x,)
+        # nor is an ndarray constant, of any dtype, rank or side
+        row, up = np.arange(3, dtype=np.int64), np.ones((2, 3), dtype=np.float32)
+        for out in (x + row, x * up, x - row, x.__radd__(up), x.__rmul__(row),
+                    x * np.array(2.0), np.array(2.0) + x):
+            assert out._parents == (x,)
+        m = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert (m @ up.T)._parents == (m,)
 
 
 class TestMake:

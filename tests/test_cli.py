@@ -168,6 +168,16 @@ class TestTrainingCommands:
         assert not (out / "checkpoints" / "tokenizer.ckpt").exists()
         assert not (out / "reports" / "tokenizer_loss.csv").exists()
 
+    def test_oversized_codebook_stops_before_writing(self, workspace, capsys):
+        # a .tok file could not hold the ids, so forecast would fail halfway
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        run(cfg_path, out, "gen-data")
+        write_config(TINY.with_overrides(codebook_size=65537), cfg_path)
+        assert run(cfg_path, out, "train-tokenizer") == 2
+        assert "n_codes must be at most 65536" in capsys.readouterr().err
+        assert not (out / "checkpoints").exists() and not (out / "reports").exists()
+
     def test_resume_continues_step_counter(self, workspace):
         tmp_path, cfg_path = workspace
         out = tmp_path / "run"

@@ -42,6 +42,9 @@ class TestRunConfig:
             {"data_max": 0.0},
             {"data_max": float("nan")},
             {"data_max": float("inf")},
+            {"beta": 0.0},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -78,6 +81,10 @@ class TestParsing:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError):
             parse_config_text("seed = banana\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"'seed' is set twice, on lines 1 and 3"):
+            parse_config_text("seed = 1\nlr = 0.01\nseed = 2\n")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError):

@@ -410,10 +410,13 @@ class TestTraining:
         for k in tok.trainable():
             assert np.array_equal(back.trainable()[k].data, tok.trainable()[k].data)
 
-    @pytest.mark.parametrize("data_max", [0.0, -1.0, float("nan"), float("inf")])
-    def test_data_max_must_be_finite_and_positive(self, data_max):
-        with pytest.raises(ValueError, match="data_max"):
-            TokenizerConfig(data_max=data_max)
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_data_max_must_be_finite_and_positive(self, value):
+        # beta is held to the same rule; a nan or inf beta would otherwise
+        # train until its loss reads as a divergence
+        for name in ("data_max", "beta"):
+            with pytest.raises(ValueError, match=name):
+                TokenizerConfig(**{name: value})
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         path = tmp_path / "tok.ckpt"
@@ -465,6 +468,16 @@ class TestEventTokens:
         back = tok.detokenize(tok.tokenize(normalize(ev.frames, 40.0)))
         assert back.shape == ev.frames.shape
         assert back.min() >= 0.0 and back.max() <= 1.0
+
+    def test_codebook_is_limited_to_what_a_tok_file_addresses(self, tmp_path):
+        # ids are stored as uint16: 65536 codes fit, 65537 are refused by the
+        # config before a tokenizer is built, and by write_tokens
+        assert TokenizerConfig(n_codes=65536).n_codes == 65536
+        with pytest.raises(ValueError, match="n_codes"):
+            TokenizerConfig(n_codes=65537)
+        with pytest.raises(ValueError, match="65536"):
+            write_tokens(tmp_path / "ev.tok", np.zeros((1, 2, 2), dtype=np.int64), 65537)
+        assert not (tmp_path / "ev.tok").exists()
 
     def test_tok_file_round_trip(self, tmp_path):
         tok, ev = self.tokenizer_and_event()
