@@ -1,7 +1,9 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A Tensor wraps an ndarray and records the op that produced it; backward()
-topologically sorts the recorded graph and accumulates chain-rule
+A Tensor wraps an ndarray; an op's output also holds a vertex recording the
+op's parents, its backward rule and only the arrays that rule reads, so a
+forward value no backward reads is freed once the forward code lets go of
+it. backward() topologically sorts the vertices and accumulates chain-rule
 contributions into .grad. Tensor data is always float64, the precision
 all gradient checks run at.
 """
@@ -16,12 +18,10 @@ from .errors import ConfigError
 
 
 def _operand(other):
-    """(data, node) for an op's second operand: a Tensor's data and itself, or
-    a constant (a Python or numpy number, an ndarray) and None. numpy combines
-    a constant as is, with the bytes of its float64 value, and the tape never
-    records it. Backward closures call this again rather than capture both
-    results: a default-config pass's tape sits just under the collector's
-    700-object threshold, and one more captured cell per op crosses it.
+    """(data, tensor) for an op's second operand: a Tensor's data and itself,
+    or a constant (a Python or numpy number, an ndarray) and None. numpy
+    combines a constant as is, with the bytes of its float64 value, and the
+    graph never records it.
     """
     if isinstance(other, Tensor):
         return other.data, other
@@ -39,69 +39,98 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _empty(node):
+    """An uninitialised array laid out as np.empty_like(node's data) lays it out."""
+    return np.empty(node.shape) if node.like is None else np.empty_like(node.like, shape=node.shape)
+
+
 def _accumulate(node, g, owned=False, clean=False):
     """Add one chain-rule contribution to node.grad, allocating it on the first.
 
     The first contribution is stored as 0.0 + g in an array laid out like
-    node.data (as np.empty_like lays it out): a transposed view g would
+    node's data (as np.empty_like lays it out): a transposed view g would
     otherwise change the order of later reductions, and 0.0 + g turns -0.0
     into +0.0, so the bytes match summing every contribution onto zeros.
 
     When g is owned (nothing else reads it afterwards: a fresh array the
-    closure built, or the closure's own gradient or a view of it, handed
-    over) and is C-contiguous where the data's layout is too, g itself
-    becomes node.grad. A gradient never holds -0.0, and neither does a sum
-    or a view of one, so a clean g is adopted as is; any other owned g has
+    rule built, or the rule's own gradient or a view of it, handed over)
+    and is C-contiguous where the data's layout is too, g itself becomes
+    node.grad. A gradient never holds -0.0, and neither does a sum or a
+    view of one, so a clean g is adopted as is; any other owned g has
     0.0 + g taken in place.
     """
     if node.grad is not None:
         node.grad += g
         return
-    data = node.data
-    # the layout np.empty_like gives a non-contiguous data (C order for a
-    # strided slice, say); None where data is C-contiguous itself
-    like = None if data.flags.c_contiguous else np.empty_like(data)
-    if (owned and type(g) is np.ndarray and g.shape == data.shape and g.flags.c_contiguous
+    # None where the data is C-contiguous; np.empty_like gives C order for
+    # a strided slice too
+    like = None if node.like is None else _empty(node)
+    if (owned and type(g) is np.ndarray and g.shape == node.shape and g.flags.c_contiguous
             and (like is None or like.flags.c_contiguous)):
         node.grad = g if clean else np.add(0.0, g, out=g)
     else:
-        node.grad = np.add(0.0, g, out=np.empty_like(data) if like is None else like)
+        node.grad = np.add(0.0, g, out=np.empty(node.shape) if like is None else like)
+
+
+class _Vertex:
+    """An op's place in the graph: its gradient, its parents' vertices (a
+    leaf Tensor is its own vertex), its output's shape and layout, and its
+    backward rule, called as rule(vertex, g, *saved). like is None for a
+    C-contiguous output, else a small array such that np.empty_like(like,
+    shape=shape) takes the layout np.empty_like gives the output."""
+
+    __slots__ = ("grad", "_parents", "shape", "like", "rule", "saved")
+
+    def _backward(self, g):
+        self.rule(self, g, *self.saved)
 
 
 class Tensor:
-    # __weakref__ lets a check see when a graph has been freed
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    """A float64 value. A leaf (a parameter, or a constant) is its own graph
+    vertex; an op's output is an _Output, which holds the op's vertex."""
+
+    # __weakref__ lets a check see when a value or a graph has been freed
+    __slots__ = ("data", "grad", "requires_grad", "__weakref__")
+    # an ndarray on the left defers to __radd__ or __rmul__ (or raises
+    # TypeError) instead of mapping the op over its elements
+    __array_ufunc__ = None
+    _node = None  # the vertex an op records: a leaf's is itself
+    _parents, _backward = (), None
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
 
     # ---- construction helpers -------------------------------------------
 
     @staticmethod
-    def _make(data, parents, backward):
-        """An op's output node; it records only the parents that need a gradient.
-
+    def _make(data, parents, rule, *saved):
+        """An op's output: an _Output whose vertex records the parents that
+        need a gradient, rule and saved, or a constant Tensor if none does.
         Op results are float64 ndarrays already, so they are adopted as they
         are; anything else (a numpy scalar, say) is coerced as __init__ does.
         """
-        out = Tensor.__new__(Tensor)
         if type(data) is not np.ndarray or data.dtype != np.float64:
             data = np.asarray(data, dtype=np.float64)
-        live = tuple(p for p in parents if p is not None and p.requires_grad)
-        out.data = data
-        out.grad = None
-        out.requires_grad = bool(live)
-        out._parents = live
-        out._backward = backward if live else None
+        live = tuple(p._node or p for p in parents if p is not None and p.requires_grad)
+        if not live:
+            return Tensor(data)
+        node = _Vertex()
+        node.grad, node._parents, node.shape, node.rule, node.saved = None, live, data.shape, rule, saved
+        node.like = None if data.flags.c_contiguous else np.empty_like(data, shape=(2,) * data.ndim)
+        out = Tensor.__new__(_Output)
+        out.data, out.requires_grad, out._node = data, True, node
         return out
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def like(self):
+        # a leaf's layout for _empty: its data is np.empty_like's prototype
+        return None if self.data.flags.c_contiguous else self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -115,35 +144,37 @@ class Tensor:
     # ---- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other_data, node = _operand(other)
+        other_data, tensor = _operand(other)
+        return Tensor._make(self.data + other_data, (self, tensor), Tensor._add_backward)
 
-        def backward(g):
-            node = _operand(other)[1]
-            # g is handed over to the last parent that takes it whole; a part
-            # reduced to a broadcast operand's shape is a fresh sum of it
-            mine = _unbroadcast(g, self.data.shape) if self.requires_grad else None
-            theirs = (_unbroadcast(g, node.data.shape)
-                      if node is not None and node.requires_grad else None)
-            if mine is not None:
-                _accumulate(self, mine, owned=mine is not g or theirs is not g, clean=True)
-            if theirs is not None:
-                _accumulate(node, theirs, owned=True, clean=True)
-
-        return Tensor._make(self.data + other_data, (self, node), backward)
+    @staticmethod
+    def _add_backward(node, g):
+        # g is handed over to the last parent that takes it whole; a part
+        # reduced to a broadcast operand's shape is a fresh sum of it
+        first, last = node._parents[0], node._parents[-1]
+        theirs = _unbroadcast(g, last.shape)
+        if len(node._parents) == 2:
+            mine = _unbroadcast(g, first.shape)
+            _accumulate(first, mine, owned=mine is not g or theirs is not g, clean=True)
+        _accumulate(last, theirs, owned=True, clean=True)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other_data, node = _operand(other)
+        # a, saved for the first parent's gradient, is the other operand's
+        # data, b the reverse; None where that operand takes no gradient
+        other_data, tensor = _operand(other)
+        return Tensor._make(self.data * other_data, (self, tensor), Tensor._mul_backward,
+                            other_data if self.requires_grad else None,
+                            self.data if tensor is not None and tensor.requires_grad else None)
 
-        def backward(g):
-            other_data, node = _operand(other)
-            if self.requires_grad:
-                _accumulate(self, _unbroadcast(g * other_data, self.data.shape), owned=True)
-            if node is not None and node.requires_grad:
-                _accumulate(node, _unbroadcast(g * self.data, other_data.shape), owned=True)
-
-        return Tensor._make(self.data * other_data, (self, node), backward)
+    @staticmethod
+    def _mul_backward(node, g, a, b):
+        first, last = node._parents[0], node._parents[-1]
+        if a is not None:
+            _accumulate(first, _unbroadcast(g * a, first.shape), owned=True)
+        if b is not None:
+            _accumulate(last, _unbroadcast(g * b, last.shape), owned=True)
 
     __rmul__ = __mul__
 
@@ -157,12 +188,11 @@ class Tensor:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
+        return Tensor._make(self.data**exponent, (self,), Tensor._pow_backward, self.data, exponent)
 
-        def backward(g):
-            _accumulate(self, g * (exponent * self.data ** (exponent - 1)), owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _pow_backward(node, g, x, exponent):
+        _accumulate(node._parents[0], g * (exponent * x ** (exponent - 1)), owned=True)
 
     def gelu(self):
         # tanh approximation; smooth everywhere, so finite differences agree
@@ -178,71 +208,71 @@ class Tensor:
         np.tanh(t, out=t)
         out_data = 0.5 * x
         out_data *= 1.0 + t
+        return Tensor._make(out_data, (self,), Tensor._gelu_backward, x, t)
 
-        def backward(g):
-            # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner) with
-            # d_inner = c * (1.0 + 3 * 0.044715 * x**2), op by op in two buffers
-            a = t * t
-            np.subtract(1.0, a, out=a)
-            b = x * 0.5
-            b *= a
-            np.multiply(x, x, out=a)
-            a *= 3 * 0.044715
-            a += 1.0
-            a *= c
-            b *= a
-            np.add(1.0, t, out=a)
-            a *= 0.5
-            a += b
-            a *= g
-            _accumulate(self, a, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _gelu_backward(node, g, x, t):
+        # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner) with d_inner =
+        # sqrt(2 / pi) * (1.0 + 3 * 0.044715 * x**2), op by op in two buffers
+        a = t * t
+        np.subtract(1.0, a, out=a)
+        b = x * 0.5
+        b *= a
+        np.multiply(x, x, out=a)
+        a *= 3 * 0.044715
+        a += 1.0
+        a *= np.sqrt(2.0 / np.pi)
+        b *= a
+        np.add(1.0, t, out=a)
+        a *= 0.5
+        a += b
+        a *= g
+        _accumulate(node._parents[0], a, owned=True)
 
     def clip01(self):
         """Clamp to [0, 1]; the gradient passes through inside the interval."""
-        out_data = np.clip(self.data, 0.0, 1.0)
+        return Tensor._make(np.clip(self.data, 0.0, 1.0), (self,), Tensor._clip01_backward, self.data)
 
-        def backward(g):
-            inside = (self.data >= 0.0) & (self.data <= 1.0)
-            _accumulate(self, g * inside, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _clip01_backward(node, g, x):
+        inside = (x >= 0.0) & (x <= 1.0)
+        _accumulate(node._parents[0], g * inside, owned=True)
 
     # ---- linear algebra / shaping ------------------------------------------
 
     def matmul(self, other):
-        other_data, node = _operand(other)
+        # saves a and b as __mul__ does
+        other_data, tensor = _operand(other)
         if self.data.ndim < 2 or np.ndim(other_data) < 2:
             raise ValueError("matmul operands must be at least 2D")
         if self.data.shape[-1] != other_data.shape[-2]:
             raise ValueError(
                 f"matmul shape mismatch: {self.data.shape} @ {other_data.shape}"
             )
+        return Tensor._make(self.data @ other_data, (self, tensor), Tensor._matmul_backward,
+                            other_data if self.requires_grad else None,
+                            self.data if tensor is not None and tensor.requires_grad else None)
 
-        def backward(g):
-            other_data, node = _operand(other)
-            if self.requires_grad:
-                _accumulate(
-                    self, _unbroadcast(g @ np.swapaxes(other_data, -1, -2), self.data.shape), owned=True
-                )
-            if node is not None and node.requires_grad:
-                _accumulate(
-                    node, _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other_data.shape), owned=True
-                )
-
-        return Tensor._make(self.data @ other_data, (self, node), backward)
+    @staticmethod
+    def _matmul_backward(node, g, a, b):
+        first, last = node._parents[0], node._parents[-1]
+        if a is not None:
+            _accumulate(first, _unbroadcast(g @ np.swapaxes(a, -1, -2), first.shape), owned=True)
+        if b is not None:
+            _accumulate(last, _unbroadcast(np.swapaxes(b, -1, -2) @ g, last.shape), owned=True)
 
     __matmul__ = matmul
 
     def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        # the rule restores the reduced axis in g, unless g kept its rank
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                            Tensor._sum_backward, None if keepdims else axis)
 
-        def backward(g):
-            kept = g if axis is None or keepdims else np.expand_dims(g, axis)
-            _accumulate(self, np.broadcast_to(kept, self.data.shape))
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _sum_backward(node, g, axis):
+        parent = node._parents[0]
+        kept = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(parent, np.broadcast_to(kept, parent.shape))
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -256,46 +286,44 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        old_shape = self.data.shape
+        return Tensor._make(self.data.reshape(shape), (self,), Tensor._reshape_backward)
 
-        def backward(g):
-            _accumulate(self, g.reshape(old_shape), owned=True, clean=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _reshape_backward(node, g):
+        parent = node._parents[0]
+        _accumulate(parent, g.reshape(parent.shape), owned=True, clean=True)
 
     def transpose(self, axes):
         axes = tuple(axes)
-        out_data = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
+        return Tensor._make(self.data.transpose(axes), (self,), Tensor._transpose_backward, inverse)
 
-        def backward(g):
-            _accumulate(self, g.transpose(inverse), owned=True, clean=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _transpose_backward(node, g, inverse):
+        _accumulate(node._parents[0], g.transpose(inverse), owned=True, clean=True)
 
     def slice_axis(self, axis, start, stop):
         """Contiguous slice along one axis."""
         index = [slice(None)] * self.data.ndim
         index[axis] = slice(start, stop)
         index = tuple(index)
-        out_data = self.data[index]
+        return Tensor._make(self.data[index], (self,), Tensor._slice_backward, axis, index)
 
-        def backward(g):
-            if self.grad is None:
-                # zeros outside the slice and g (a gradient, so 0.0 + g is g)
-                # inside, each element written once
-                grad = np.empty_like(self.data)
-                lo, hi, _ = index[axis].indices(grad.shape[axis])
-                along = np.moveaxis(grad, axis, 0)
-                along[:lo] = 0.0
-                along[max(lo, hi):] = 0.0
-                grad[index] = g
-                self.grad = grad
-            else:
-                self.grad[index] += g
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _slice_backward(node, g, axis, index):
+        parent = node._parents[0]
+        if parent.grad is None:
+            # zeros outside the slice and g (a gradient, so 0.0 + g is g)
+            # inside, each element written once
+            grad = _empty(parent)
+            lo, hi, _ = index[axis].indices(grad.shape[axis])
+            along = np.moveaxis(grad, axis, 0)
+            along[:lo] = 0.0
+            along[max(lo, hi):] = 0.0
+            grad[index] = g
+            parent.grad = grad
+        else:
+            parent.grad[index] += g
 
     def gather_rows(self, indices):
         """Select rows of a 2D table: result shape indices.shape + (row_dim,)."""
@@ -304,14 +332,15 @@ class Tensor:
             raise ValueError("gather_rows expects a 2D table")
         if indices.size and (indices.min() < 0 or indices.max() >= self.data.shape[0]):
             raise IndexError("gather index out of range")
-        out_data = self.data[indices]
+        return Tensor._make(self.data[indices], (self,), Tensor._gather_backward, indices)
 
-        def backward(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, indices.reshape(-1), g.reshape(-1, self.data.shape[1]))
-
-        return Tensor._make(out_data, (self,), backward)
+    @staticmethod
+    def _gather_backward(node, g, indices):
+        parent = node._parents[0]
+        if parent.grad is None:
+            parent.grad = _empty(parent)
+            parent.grad.fill(0.0)
+        np.add.at(parent.grad, indices.reshape(-1), g.reshape(-1, parent.shape[1]))
 
     # ---- backward pass ---------------------------------------------------
 
@@ -319,16 +348,18 @@ class Tensor:
         """Reverse pass from a scalar output.
 
         Gradients are allocated on their first contribution, and an inner
-        node's gradient is dropped once its closure has passed it on: after
-        the pass, leaves and this output hold .grad, inner nodes hold None.
-        A closure owns the gradient it is called with, and may hand it over
-        to a parent, so this output's closure gets a copy of its ones.
+        vertex's gradient is dropped once its rule has passed it on: after
+        the pass, leaves and this output hold .grad, inner vertices hold
+        None. A rule owns the gradient it is called with, and may hand it
+        over to a parent, so this output's rule gets a copy of its ones.
+        Vertices keep their saved values, so a graph can run backward again.
         """
         if self.data.size != 1:
             raise ConfigError("backward() must start from a scalar")
+        root = self._node or self
         order = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -343,13 +374,22 @@ class Tensor:
                     stack.append((parent, False))
         for node in order:
             node.grad = None
-        self.grad = np.ones_like(self.data)
-        if self._backward is not None:
-            self._backward(self.grad.copy())
+        root.grad = np.ones_like(self.data)
+        if root._backward is not None:
+            root._backward(root.grad.copy())
         for node in reversed(order[:-1]):
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
+
+
+class _Output(Tensor):
+    """An op's output: its data, and the vertex holding its gradient."""
+
+    __slots__ = ("_node",)
+    grad = property(lambda self: self._node.grad)
+    _parents = property(lambda self: self._node._parents)
+    _backward = property(lambda self: self._node._backward)
 
 
 def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
@@ -375,16 +415,16 @@ def softmax(x: Tensor, mask=None, axis: int = -1) -> Tensor:
         e = np.exp(masked - np.where(np.isfinite(peak), peak, 0.0))
         denom = e.sum(axis=axis, keepdims=True)
         out_data = np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
+    return Tensor._make(out_data, (x,), _softmax_backward, out_data, axis)
 
-    def backward(g):
-        # out_data * (g - (g * out_data).sum()), in one buffer
-        grad = g * out_data
-        inner = grad.sum(axis=axis, keepdims=True)
-        np.subtract(g, inner, out=grad)
-        grad *= out_data
-        _accumulate(x, grad, owned=True)
 
-    return Tensor._make(out_data, (x,), backward)
+def _softmax_backward(node, g, out_data, axis):
+    # out_data * (g - (g * out_data).sum()), in one buffer
+    grad = g * out_data
+    inner = grad.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=grad)
+    grad *= out_data
+    _accumulate(node._parents[0], grad, owned=True)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -402,7 +442,7 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
     logits has shape (..., V); targets is an integer array of the leading
-    shape with values in [0, V). One tape node, whose backward is
+    shape with values in [0, V). One graph vertex, whose backward is
     (softmax - one-hot) / rows with the one-hot applied in place.
     """
     data = logits.data
@@ -419,14 +459,14 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
     total = e.sum(axis=-1, keepdims=True)
     rows = np.log(total) + shift - np.take_along_axis(data, picks, axis=-1)
     scale = 1.0 / rows.size
+    return Tensor._make(rows.sum() * scale, (logits,), _cross_entropy_backward, e, total, picks, scale)
 
-    def backward(g):
-        g_row = g * scale
-        grad = e * (g_row / total)
-        np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
-        _accumulate(logits, grad, owned=True)
 
-    return Tensor._make(rows.sum() * scale, (logits,), backward)
+def _cross_entropy_backward(node, g, e, total, picks, scale):
+    g_row = g * scale
+    grad = e * (g_row / total)
+    np.put_along_axis(grad, picks, np.take_along_axis(grad, picks, axis=-1) - g_row, axis=-1)
+    _accumulate(node._parents[0], grad, owned=True)
 
 
 def gradients(loss: Tensor, leaves) -> list[np.ndarray]:

@@ -394,7 +394,10 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
 # ---- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse_args call fills
+    a fresh namespace, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="framecast",
         description="Synthetic nowcasting pipeline: data, tokenizer, dynamics, forecasts, verification.",

@@ -41,14 +41,16 @@ def scan_nearest_code_indices(vectors, entries):
     return d2.argmin(axis=1).astype(np.int32)
 
 
-def eager_backward(root):
+def eager_backward(loss):
     """Reference reverse pass with every gradient allocated up front.
 
-    Zero-fills the gradient of every node that reaches root, seeds root with
-    ones and runs each node's closure in reverse topological order; every
-    node keeps its gradient. The rule ``Tensor.backward`` must match to the
-    byte on the leaves.
+    Zero-fills the gradient of every vertex that reaches loss's, laid out as
+    np.zeros_like lays out that vertex's data (a leaf's vertex is the leaf),
+    seeds loss's vertex with ones and runs each vertex's rule in reverse
+    topological order; every vertex keeps its gradient. The rule
+    ``Tensor.backward`` must match to the byte on the leaves.
     """
+    root = loss._node or loss
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, done = stack.pop()
@@ -59,8 +61,9 @@ def eager_backward(root):
             stack.append((node, True))
             stack.extend((parent, False) for parent in node._parents)
     for node in order:
-        node.grad = np.zeros_like(node.data)
-    root.grad = np.ones_like(root.data)
+        node.grad = (np.zeros(node.shape) if node.like is None
+                     else np.zeros_like(node.like, shape=node.shape))
+    root.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)

@@ -3,6 +3,7 @@ import pytest
 
 from framecast.autodiff import (
     Tensor,
+    _empty,
     cross_entropy_logits,
     gradients,
     init_params,
@@ -101,8 +102,8 @@ class TestScalarOperands:
     """A constant operand (a number or an ndarray) gives the bytes and the tape
     of the same op with the constant lifted to a Tensor, the slow reference.
 
-    numpy's own operators would map an ndarray on the left over x's elements,
-    so its reflected forms call x's method directly."""
+    The reflected ndarray forms call x's method directly; numpy's own
+    operators reach the same methods (test_an_ndarray_on_the_left)."""
 
     CASES = {
         "mul": (lambda x: x * 0.5, lambda x: x * Tensor(0.5)),
@@ -158,6 +159,19 @@ class TestScalarOperands:
             assert out._parents == (x,)
         m = Tensor(np.ones((2, 3)), requires_grad=True)
         assert (m @ up.T)._parents == (m,)
+
+    def test_an_ndarray_on_the_left(self):
+        # numpy defers to Tensor's reflected methods rather than mapping x
+        # over the ndarray's elements, and refuses the ones Tensor lacks
+        x = Tensor(np.random.default_rng(21).normal(size=(2, 3)), requires_grad=True)
+        w = np.random.default_rng(22).normal(size=(2, 3))
+        for left, right in ((np.ones(3) + x, x + np.ones(3)), (w * x, x * w)):
+            assert type(left) is type(right) and left._parents == right._parents == (x,)
+            assert left.data.tobytes() == right.data.tobytes()
+        with pytest.raises(TypeError):
+            np.ones(3) - x
+        with pytest.raises(TypeError):
+            np.ones((4, 2)) @ x
 
 
 class TestMake:
@@ -496,6 +510,19 @@ class TestLazyGradients:
         h = x + bias
         loss = (h.transpose((1, 0)) @ w).gelu().sum()
         assert_backward_matches_eager(loss, [x, bias, w])
+
+    def test_vertex_keeps_the_layout_of_its_data(self):
+        # a vertex keeps no data, only what np.empty_like needs of it: a
+        # gradient allocated for it is laid out as the data's would be
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        w = rng.normal(size=(5, 3, 4))
+        for out in (x.transpose((2, 0, 1)), x.transpose((2, 1, 0)), x.slice_axis(1, 1, 3),
+                    x.transpose((2, 0, 1)) * w, x.slice_axis(2, 0, 4).transpose((1, 0, 2)),
+                    x + 1.0, x.reshape(12, 5)):
+            want = np.empty_like(out.data)
+            got = _empty(out._node)
+            assert got.shape == want.shape and got.strides == want.strides
 
     def test_owned_contribution_is_not_adopted_for_non_contiguous_data(self):
         # b's data takes the transposed view's column-major layout, and the

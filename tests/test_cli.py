@@ -688,6 +688,20 @@ class TestAllocatorPolicy:
             assert without[name] == data, name
 
 
+class TestParser:
+    def test_one_parser_serves_each_call(self, workspace):
+        # main builds its parser once per process; neither a subcommand nor
+        # an option of one call carries over to the next
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        assert cli.build_parser() is cli.build_parser()
+        assert run(cfg_path, out, "gen-data", "--n-events", "0") == 0
+        assert read_manifest(out / "data" / "manifest.txt") == []
+        assert run(cfg_path, out, "gen-data") == 0
+        assert len(read_manifest(out / "data" / "manifest.txt")) == 5
+        assert run(cfg_path, out, "train-dynamics") == 3  # no tokenizer yet
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.cfg"), "gen-data"]) == 2

@@ -1,12 +1,13 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from framecast import dynamics
-from framecast.autodiff import Tensor
+from framecast.autodiff import Tensor, cross_entropy_logits
 from framecast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from framecast.dynamics import (
     DynamicsConfig,
@@ -22,7 +23,7 @@ from framecast.dynamics import (
     train_dynamics,
 )
 from framecast.errors import ConfigError, HorizonError
-from framecast.optim import TrainConfig
+from framecast.optim import Adam, TrainConfig
 
 from helpers import assert_backward_matches_eager, central_difference, max_relative_error
 
@@ -314,6 +315,39 @@ class TestGradientLifetime:
             gc.enable()
         assert len(losses) == len(log) == 3
         assert all(ref() is None for ref in losses)
+
+    @pytest.mark.parametrize("mode", ["frame", "token"])
+    def test_logits_no_backward_reads_are_freed(self, mode):
+        # the loss keeps what its backward reads, not the logits behind the
+        # slice it was built from
+        cfg = DynamicsConfig(mode=mode)
+        model = DynamicsModel(cfg, seed=1)
+        tokens = np.random.default_rng(32).integers(
+            0, cfg.vocab_size, size=(2, cfg.max_frames * cfg.tokens_per_frame))
+        length, k = tokens.shape[1], cfg.tokens_per_pass
+        logits = model.forward_flat(tokens)
+        ref = weakref.ref(logits.data)
+        loss = cross_entropy_logits(logits.slice_axis(1, 0, length - k), tokens[:, k:])
+        del logits
+        assert ref() is None
+        assert_backward_matches_eager(loss, list(model.params.values()))
+
+    def test_default_step_peak(self):
+        # one default-config frame-mode step at B = 8 keeps only what each
+        # backward rule reads: 56.6 MiB traced (98.7 MiB when every forward
+        # value lived until the step ended)
+        cfg = DynamicsConfig()
+        model = DynamicsModel(cfg, seed=1)
+        opt = Adam(model.params)
+        batch = np.random.default_rng(33).integers(
+            0, cfg.vocab_size, size=(8, cfg.max_frames, cfg.tokens_per_frame))
+        tracemalloc.start()
+        try:
+            opt.update(dynamics_loss(model, batch), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * 2**20
 
 
 class TestStrictLoad:
