@@ -39,47 +39,34 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _empty(node):
-    """An uninitialised array laid out as np.empty_like(node's data) lays it out."""
-    return np.empty(node.shape) if node.like is None else np.empty_like(node.like, shape=node.shape)
-
-
 def _accumulate(node, g, owned=False, clean=False):
     """Add one chain-rule contribution to node.grad, allocating it on the first.
 
-    The first contribution is stored as 0.0 + g in an array laid out like
-    node's data (as np.empty_like lays it out): a transposed view g would
-    otherwise change the order of later reductions, and 0.0 + g turns -0.0
-    into +0.0, so the bytes match summing every contribution onto zeros.
+    The first contribution is stored as 0.0 + g in a fresh C-contiguous
+    array: 0.0 + g turns -0.0 into +0.0, so the bytes match summing every
+    contribution onto zeros.
 
     When g is owned (nothing else reads it afterwards: a fresh array the
     rule built, or the rule's own gradient or a view of it, handed over)
-    and is C-contiguous where the data's layout is too, g itself becomes
-    node.grad. A gradient never holds -0.0, and neither does a sum or a
-    view of one, so a clean g is adopted as is; any other owned g has
-    0.0 + g taken in place.
+    and is C-contiguous, g itself becomes node.grad. A gradient never holds
+    -0.0, and neither does a sum or a view of one, so a clean g is adopted
+    as is; any other owned g has 0.0 + g taken in place.
     """
     if node.grad is not None:
         node.grad += g
         return
-    # None where the data is C-contiguous; np.empty_like gives C order for
-    # a strided slice too
-    like = None if node.like is None else _empty(node)
-    if (owned and type(g) is np.ndarray and g.shape == node.shape and g.flags.c_contiguous
-            and (like is None or like.flags.c_contiguous)):
+    if owned and type(g) is np.ndarray and g.shape == node.shape and g.flags.c_contiguous:
         node.grad = g if clean else np.add(0.0, g, out=g)
     else:
-        node.grad = np.add(0.0, g, out=np.empty(node.shape) if like is None else like)
+        node.grad = np.add(0.0, g, out=np.empty(node.shape))
 
 
 class _Vertex:
     """An op's place in the graph: its gradient, its parents' vertices (a
-    leaf Tensor is its own vertex), its output's shape and layout, and its
-    backward rule, called as rule(vertex, g, *saved). like is None for a
-    C-contiguous output, else a small array such that np.empty_like(like,
-    shape=shape) takes the layout np.empty_like gives the output."""
+    leaf Tensor is its own vertex), its output's shape and its backward
+    rule, called as rule(vertex, g, *saved)."""
 
-    __slots__ = ("grad", "_parents", "shape", "like", "rule", "saved")
+    __slots__ = ("grad", "_parents", "shape", "rule", "saved")
 
     def _backward(self, g):
         self.rule(self, g, *self.saved)
@@ -118,7 +105,6 @@ class Tensor:
             return Tensor(data)
         node = _Vertex()
         node.grad, node._parents, node.shape, node.rule, node.saved = None, live, data.shape, rule, saved
-        node.like = None if data.flags.c_contiguous else np.empty_like(data, shape=(2,) * data.ndim)
         out = Tensor.__new__(_Output)
         out.data, out.requires_grad, out._node = data, True, node
         return out
@@ -126,11 +112,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def like(self):
-        # a leaf's layout for _empty: its data is np.empty_like's prototype
-        return None if self.data.flags.c_contiguous else self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -315,7 +296,7 @@ class Tensor:
         if parent.grad is None:
             # zeros outside the slice and g (a gradient, so 0.0 + g is g)
             # inside, each element written once
-            grad = _empty(parent)
+            grad = np.empty(parent.shape)
             lo, hi, _ = index[axis].indices(grad.shape[axis])
             along = np.moveaxis(grad, axis, 0)
             along[:lo] = 0.0
@@ -338,8 +319,7 @@ class Tensor:
     def _gather_backward(node, g, indices):
         parent = node._parents[0]
         if parent.grad is None:
-            parent.grad = _empty(parent)
-            parent.grad.fill(0.0)
+            parent.grad = np.zeros(parent.shape)
         np.add.at(parent.grad, indices.reshape(-1), g.reshape(-1, parent.shape[1]))
 
     # ---- backward pass ---------------------------------------------------
@@ -477,7 +457,7 @@ def gradients(loss: Tensor, leaves) -> list[np.ndarray]:
     loss.backward()
     out = []
     for leaf in leaves:
-        out.append(leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
+        out.append(leaf.grad if leaf.grad is not None else np.zeros(leaf.shape))
     return out
 
 

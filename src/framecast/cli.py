@@ -22,6 +22,7 @@ from .advection import AdvectionParams, generate_advection_event
 from .config import RunConfig, load_config
 from .container import ContainerError
 from .dynamics import (
+    MODES,
     DynamicsModel,
     benchmark_decode,
     forecast,
@@ -335,7 +336,7 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
         cfg = cfg.with_overrides(horizon=args.horizon)
     data_dir, ckpt_dir, report_dir = _paths(cfg, args.out)
     # every input is loaded and checked before any timing
-    tokenizer, models = _load_models(ckpt_dir, ("frame", "token"))
+    tokenizer, models = _load_models(ckpt_dir, MODES)
     frames = _context(cfg, _load_dataset(data_dir)[0])
     report_dir.mkdir(parents=True, exist_ok=True)
 
@@ -417,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_tokenizer)
 
     p = sub.add_parser("train-dynamics", help="fit the dynamics transformer")
-    p.add_argument("--mode", choices=("frame", "token"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_train_dynamics)
 
     p = sub.add_parser("forecast", help="roll out a forecast for one event file")
     p.add_argument("--event", required=True)
-    p.add_argument("--mode", choices=("frame", "token"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("evaluate", help="score prediction manifests against observations")

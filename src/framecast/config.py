@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .dynamics import DynamicsConfig
+from .dynamics import MODES, DynamicsConfig
 from .errors import ConfigError
 from .optim import TrainConfig
 from .tokenizer import TokenizerConfig
@@ -71,6 +71,8 @@ class RunConfig:
     report_dir: str = "reports"
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.context_len < 1 or self.horizon < 1:
             raise ConfigError("context_len and horizon must be at least 1")
         if self.context_len + self.horizon > self.max_frames:

@@ -73,6 +73,10 @@ def _swap_last_two(ndim):
     return tuple(axes)
 
 
+# the two decoding modes: one pass per frame, or one pass per token
+MODES = ("frame", "token")
+
+
 @dataclass(frozen=True)
 class DynamicsConfig:
     n_layers: int = 2
@@ -85,8 +89,8 @@ class DynamicsConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.mode not in ("frame", "token"):
-            raise ConfigError(f"mode must be 'frame' or 'token', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.embed_dim % self.n_heads:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}"

@@ -93,8 +93,12 @@ def read_manifest(manifest_path) -> list[Path]:
     """Read event paths from a manifest; relative entries resolve against it."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EventFileError(f"manifest {manifest_path} is not UTF-8 text: {exc}") from exc
     paths = []
-    for raw in manifest_path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

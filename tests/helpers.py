@@ -44,11 +44,11 @@ def scan_nearest_code_indices(vectors, entries):
 def eager_backward(loss):
     """Reference reverse pass with every gradient allocated up front.
 
-    Zero-fills the gradient of every vertex that reaches loss's, laid out as
-    np.zeros_like lays out that vertex's data (a leaf's vertex is the leaf),
-    seeds loss's vertex with ones and runs each vertex's rule in reverse
-    topological order; every vertex keeps its gradient. The rule
-    ``Tensor.backward`` must match to the byte on the leaves.
+    Zero-fills a C-contiguous gradient for every vertex that reaches loss's
+    (a leaf's vertex is the leaf), seeds loss's vertex with ones and runs
+    each vertex's rule in reverse topological order; every vertex keeps its
+    gradient. The rule ``Tensor.backward`` must match to the byte on the
+    leaves.
     """
     root = loss._node or loss
     order, seen, stack = [], set(), [(root, False)]
@@ -61,8 +61,7 @@ def eager_backward(loss):
             stack.append((node, True))
             stack.extend((parent, False) for parent in node._parents)
     for node in order:
-        node.grad = (np.zeros(node.shape) if node.like is None
-                     else np.zeros_like(node.like, shape=node.shape))
+        node.grad = np.zeros(node.shape)
     root.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:

@@ -3,7 +3,6 @@ import pytest
 
 from framecast.autodiff import (
     Tensor,
-    _empty,
     cross_entropy_logits,
     gradients,
     init_params,
@@ -499,42 +498,38 @@ class TestLazyGradients:
         loss.backward()
         assert loss.grad.tobytes() == np.ones(()).tobytes()
 
-    def test_transposed_first_contribution(self):
-        # h's first contribution is a transposed view of its consumer's
-        # gradient; copied with that view's strides, the bias gradient's sum
-        # over h's rows would run in another order and move in the last bits
-        rng = np.random.default_rng(41)
-        x = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
-        bias = Tensor(rng.normal(size=(1, 32)), requires_grad=True)
-        w = Tensor(rng.normal(size=(64, 16)), requires_grad=True)
-        h = x + bias
-        loss = (h.transpose((1, 0)) @ w).gelu().sum()
-        assert_backward_matches_eager(loss, [x, bias, w])
-
-    def test_vertex_keeps_the_layout_of_its_data(self):
-        # a vertex keeps no data, only what np.empty_like needs of it: a
-        # gradient allocated for it is laid out as the data's would be
-        rng = np.random.default_rng(44)
-        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-        w = rng.normal(size=(5, 3, 4))
-        for out in (x.transpose((2, 0, 1)), x.transpose((2, 1, 0)), x.slice_axis(1, 1, 3),
-                    x.transpose((2, 0, 1)) * w, x.slice_axis(2, 0, 4).transpose((1, 0, 2)),
-                    x + 1.0, x.reshape(12, 5)):
-            want = np.empty_like(out.data)
-            got = _empty(out._node)
-            assert got.shape == want.shape and got.strides == want.strides
-
-    def test_owned_contribution_is_not_adopted_for_non_contiguous_data(self):
-        # b's data takes the transposed view's column-major layout, and the
-        # matmul backward hands it a fresh row-major gradient; adopted as is,
-        # the sum of b's gradient over rows for w would run in another order
+    @pytest.mark.parametrize("case", ["transpose", "scaled_transpose", "strided_slice", "transposed_leaf"])
+    def test_view_first_gradient_is_c_contiguous(self, case):
+        # every gradient is C-contiguous, whatever the layout of its data, as
+        # eager_backward's zeros are: a view's owned row-major contribution
+        # is adopted, any other is copied into a row-major array
         rng = np.random.default_rng(43)
-        x = Tensor(rng.normal(size=(64, 300)), requires_grad=True)
-        w = Tensor(rng.normal(size=(64,)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(64, 5)), requires_grad=True)
-        b = x.transpose((1, 0)) * w
-        assert not b.data.flags.c_contiguous
-        assert_backward_matches_eager((b @ w2).sum(), [x, w, w2])
+        x = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 5)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(1, 32)), requires_grad=True)
+        leaves = [x, w, bias]
+        if case == "transpose":
+            view = (x + bias).transpose((1, 0))
+            loss = (view @ w).gelu().sum()
+        elif case == "scaled_transpose":
+            view = x.transpose((1, 0)) * bias.reshape(32, 1)
+            loss = (view @ w).sum()
+        elif case == "strided_slice":
+            view = x.slice_axis(1, 3, 29)
+            loss = (view.transpose((1, 0)) @ w).gelu().sum() + bias.sum()
+        else:
+            view = Tensor(rng.normal(size=(32, 64)).T, requires_grad=True)
+            leaves.append(view)
+            loss = ((view + bias) * x).sum() + (w * w).sum()
+        assert not view.data.flags.c_contiguous
+        seen = []
+        if view._node is not None:
+            # an inner view drops its gradient after use: record what its rule is called with
+            node, rule = view._node, view._node.rule
+            node.rule = lambda vertex, g, *saved: (seen.append(g), rule(vertex, g, *saved))
+        loss.backward()
+        assert (seen[0] if seen else view.grad).flags.c_contiguous
+        assert_backward_matches_eager(loss, leaves)
 
     def test_inner_gradients_freed_leaves_kept(self):
         rng = np.random.default_rng(42)

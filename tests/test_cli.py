@@ -290,6 +290,20 @@ class TestForecastAndEvaluate:
                      "--event", str(short_path)])
         assert code == 2
 
+    def test_unknown_mode_stops_every_command_before_writing(self, trained, capsys):
+        tmp_path, cfg_path, out = trained
+        bad = tmp_path / "fram.cfg"
+        bad.write_text(cfg_path.read_text().replace("mode = frame", "mode = fram"))
+        manifest = str(out / "data" / "manifest.txt")
+        before = {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+        for argv in (["gen-data"], ["train-tokenizer"], ["train-dynamics"],
+                     ["forecast", "--event", str(read_manifest(manifest)[0])],
+                     ["evaluate", "--pred", manifest, "--obs", manifest], ["benchmark"]):
+            assert run(bad, out, *argv) == 2, argv
+            assert "'fram'" in capsys.readouterr().err
+        after = {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.rglob("*") if p.is_file()}
+        assert after == before
+
     def test_missing_event_file_is_io_error(self, trained):
         tmp_path, cfg_path, out = trained
         assert run(cfg_path, out, "forecast", "--event", str(out / "nope.evt")) == 4
@@ -710,6 +724,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("tokens_per_frame = 9\n")
         assert main(["--config", str(bad), "gen-data"]) == 2
+
+    def test_non_utf8_manifest_is_format_error(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        manifest = tmp_path / "bad.txt"
+        manifest.write_bytes(b"\xff\xfe\xfa")
+        assert run(cfg_path, tmp_path / "run", "evaluate", "--pred", str(manifest),
+                   "--obs", str(manifest)) == 4
+        assert str(manifest) in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

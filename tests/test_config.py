@@ -15,6 +15,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(context_len=4, horizon=6, max_frames=9)
 
+    def test_unknown_mode_checked(self):
+        with pytest.raises(ConfigError, match="'fram'"):
+            parse_config_text("mode = fram\n")
+
     def test_token_layout_checked(self):
         with pytest.raises(ConfigError):
             RunConfig(tokens_per_frame=9)

@@ -5,6 +5,7 @@ from framecast.advection import AdvectionParams, generate_advection_event
 from framecast.eventfile import (
     CorruptHeaderError,
     DimensionMismatchError,
+    EventFileError,
     TruncatedPayloadError,
     read_event,
     read_events,
@@ -133,3 +134,9 @@ class TestManifest:
         manifest = tmp_path / "m.txt"
         manifest.write_text("# header\n\nfoo.evt\n  \nbar.evt\n")
         assert [p.name for p in read_manifest(manifest)] == ["foo.evt", "bar.evt"]
+
+    def test_non_utf8_manifest_names_the_file(self, tmp_path):
+        manifest = tmp_path / "bad.txt"
+        manifest.write_bytes(b"\xff\xfe\xfa")
+        with pytest.raises(EventFileError, match="bad.txt is not UTF-8"):
+            read_manifest(manifest)

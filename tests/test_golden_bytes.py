@@ -1,17 +1,20 @@
 """Pinned bytes of every on-disk format (.evt, tokenizer and dynamics .ckpt,
 .tok), of a full verification report, of both models after three
-training steps, and of gelu's forward and backward values."""
+training steps, of gelu's forward and backward values, and of the
+default-config dynamics gradients."""
 
 import hashlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from framecast.autodiff import Tensor
 from framecast.checkpoint import save_checkpoint
 from framecast.dynamics import (
     DynamicsConfig,
     DynamicsModel,
+    dynamics_loss,
     save_dynamics,
     train_dynamics,
 )
@@ -126,3 +129,30 @@ GELU_GOLDEN = (
 def test_gelu_bytes():
     digests = tuple(hashlib.sha256(b).hexdigest() for b in _gelu_bytes())
     assert digests == GELU_GOLDEN
+
+
+def _default_gradient_bytes(mode):
+    """Leaf gradients of one default-config dynamics_loss backward (B = 2,
+    every frame), in parameter order. The tiny models above have head_dim 4;
+    this one has the default config's 32, the vocabulary of 1024 and the
+    144-position pass that training runs."""
+    model = DynamicsModel(DynamicsConfig(mode=mode), seed=8)
+    cfg = model.config
+    batch = np.random.default_rng(2028).integers(
+        0, cfg.vocab_size, size=(2, cfg.max_frames, cfg.tokens_per_frame))
+    dynamics_loss(model, batch).backward()
+    return b"".join(param.grad.tobytes() for param in model.params.values())
+
+
+# SHA-256 of the bytes above per mode; a change here moves a real training
+# step's gradient, which the tiny trained pins may not see
+DEFAULT_GRADIENT_GOLDEN = {
+    "frame": "3f04cd41ad89851734dd35e20f4407990d8728c4d28f3ec8dc48dd0848aab916",
+    "token": "09eebbc63f1aad7bd715c9f86c86837be8c310667fe308207f9aa30a70a10836",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DEFAULT_GRADIENT_GOLDEN))
+def test_default_config_gradient_bytes(mode):
+    digest = hashlib.sha256(_default_gradient_bytes(mode)).hexdigest()
+    assert digest == DEFAULT_GRADIENT_GOLDEN[mode]
