@@ -276,7 +276,7 @@ class Tensor:
 
     def transpose(self, axes):
         axes = tuple(axes)
-        inverse = tuple(np.argsort(axes))
+        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
         return Tensor._make(self.data.transpose(axes), (self,), Tensor._transpose_backward, inverse)
 
     @staticmethod

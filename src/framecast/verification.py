@@ -86,13 +86,11 @@ class ContingencyTable:
 
 
 def _table(p: np.ndarray, o: np.ndarray) -> ContingencyTable:
-    """Counts of forecast events p against observed events o (boolean arrays)."""
-    return ContingencyTable(
-        tp=int(np.sum(p & o)),
-        fp=int(np.sum(p & ~o)),
-        fn=int(np.sum(~p & o)),
-        tn=int(np.sum(~p & ~o)),
-    )
+    """Counts of forecast events p against observed events o (same-shape
+    boolean arrays): hits and both marginals are counted, the rest follow."""
+    tp = int(np.count_nonzero(p & o))
+    n_p, n_o = int(np.count_nonzero(p)), int(np.count_nonzero(o))
+    return ContingencyTable(tp=tp, fp=n_p - tp, fn=n_o - tp, tn=p.size - n_p - n_o + tp)
 
 
 def contingency(pred, obs, tau) -> ContingencyTable:
@@ -157,6 +155,11 @@ def roc_curve(scores, obs, tau_event, gammas) -> ROCCurve:
     the forecast event is score >= gamma, giving one (POFD, POD) point.
     Points are sorted by POFD and anchored at (0, 0) and (1, 1).
 
+    The counts come from one sort of each class's scores: the pixels with
+    score >= gamma are those past the first sorted score not below gamma.
+    A score tied with gamma counts as forecast. NaN sorts last and is never
+    >= gamma, so NaN scores are never counted, and a NaN gamma counts none.
+
     Raises UndefinedMetricError when the observations contain no event or no
     non-event pixels (either rate is then 0/0).
     """
@@ -165,7 +168,7 @@ def roc_curve(scores, obs, tau_event, gammas) -> ROCCurve:
         raise ValueError("gamma list must be non-empty")
     scores, obs = _check_shapes(scores, obs)
     events = binarize(obs, tau_event)
-    n_event = int(events.sum())
+    n_event = int(np.count_nonzero(events))
     n_nonevent = events.size - n_event
     if n_event == 0 and n_nonevent == 0:
         raise UndefinedMetricError("ROC undefined: no pixels to classify")
@@ -173,14 +176,19 @@ def roc_curve(scores, obs, tau_event, gammas) -> ROCCurve:
         raise UndefinedMetricError(
             "ROC undefined: observations are single-class at this threshold"
         )
-    pts = []
-    for gamma in gammas:
-        # gamma thresholds the scores; obs holds both classes, so both rates are defined
-        table = _table(scores >= gamma, events)
-        pts.append((pofd(table), pod(table)))
-    pts.sort(key=lambda p: (p[0], p[1]))
-    pts = [(0.0, 0.0)] + pts + [(1.0, 1.0)]
-    return ROCCurve(np.asarray(pts))
+    gammas = np.asarray(gammas, dtype=np.float64)
+
+    def forecast_counts(class_scores):
+        ranked = np.sort(class_scores)
+        # NaN sorts last, so the first NaN's index counts the comparable scores
+        return np.searchsorted(ranked, np.nan) - np.searchsorted(ranked, gammas, side="left")
+
+    # obs holds both classes, so both rates are defined
+    pod_values = forecast_counts(scores[events]) / n_event
+    pofd_values = forecast_counts(scores[~events]) / n_nonevent
+    order = np.lexsort((pod_values, pofd_values))
+    pts = np.column_stack((pofd_values[order], pod_values[order]))
+    return ROCCurve(np.concatenate(([(0.0, 0.0)], pts, [(1.0, 1.0)])))
 
 
 def auc(curve: ROCCurve) -> float:

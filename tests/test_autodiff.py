@@ -79,6 +79,16 @@ class TestBasics:
         out.sum().backward()
         assert np.array_equal(x.grad, np.full(x0.shape, want.size / x0.size))
 
+    @pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1), (0, 2, 1), [3, 1, 0, 2]])
+    def test_transpose_gradient_undoes_permutation(self, axes):
+        # a cyclic permutation is not its own inverse, so backward must invert it
+        shape = (2, 3, 4, 5)[: len(axes)]
+        x0 = np.random.default_rng(21).normal(size=shape)
+        x = Tensor(x0, requires_grad=True)
+        weights = np.random.default_rng(22).normal(size=x0.transpose(axes).shape)
+        (x.transpose(axes) * weights).sum().backward()
+        assert np.array_equal(x.grad, weights.transpose(np.argsort(axes)))
+
 
 def _tape(root):
     seen, stack = {}, [root]

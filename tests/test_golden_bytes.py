@@ -1,7 +1,7 @@
 """Pinned bytes of every on-disk format (.evt, tokenizer and dynamics .ckpt,
-.tok), of a full verification report, of both models after three
-training steps, of gelu's forward and backward values, and of the
-default-config dynamics gradients."""
+.tok), of two verification reports (one with every row kind, one at the
+benchmark's scale), of both models after three training steps, of gelu's
+forward and backward values, and of the default-config dynamics gradients."""
 
 import hashlib
 from dataclasses import replace
@@ -46,6 +46,7 @@ def _write_all(tmp_path):
     save_checkpoint(tmp_path / "generic.ckpt", params, meta={"lr": 1e-4, "tag": "run"})
     write_tokens(tmp_path / "tokens.tok", rng.integers(0, 16, size=(3, 2, 2)), 16)
     _write_report(tmp_path / "evaluation.csv")
+    _write_workload_report(tmp_path / "evaluation_32x32.csv")
     _write_trained(tmp_path)
 
 
@@ -83,6 +84,20 @@ def _write_report(path):
     evaluate_runs(runs, masks, (1.0, 4.0, 100.0), 30).to_csv(path)
 
 
+def _write_workload_report(path):
+    """``evaluate``'s report at the scale the benchmark scores: one run of 10
+    events, horizon 6, on a 32 x 32 grid with the CLI's default taus and its
+    west/east catchments. Values sit on a 0.5 mm/h grid and both fields reach
+    40, so ``default_gammas`` steps by 1.25 and every fourth gamma ties with
+    forecast scores."""
+    rng = np.random.default_rng(2029)
+    obs = np.round(rng.uniform(-10, 40, size=(10, 6, 32, 32)).clip(0) * 2) / 2
+    pred = np.round((obs + rng.normal(0, 4, size=obs.shape)).clip(0, 40) * 2) / 2
+    west = np.zeros((32, 32), dtype=bool)
+    west[:, :16] = True
+    evaluate_runs([(pred, obs)], {"west": west, "east": ~west}, (1.0, 2.0, 8.0), 30).to_csv(path)
+
+
 # SHA-256 of each file; a change here is a change of the on-disk format, which
 # breaks every .evt, .ckpt and .tok file already written, of the rows, row
 # order or values of the verification report, or of the training trajectory.
@@ -94,6 +109,7 @@ GOLDEN = {
     "generic.ckpt": "514020f74e223089111ddde7021c1683e3b0a1dde96b7d6baee143a0934e3050",
     "tokens.tok": "85050ab1efa459444ea33ea0deeb408761c2a04f8090705f5e3873e05a29601f",
     "evaluation.csv": "bc79c21f18b26aee99678486509bc4b905da2bd06004781f5b1a7483e64a9248",
+    "evaluation_32x32.csv": "8c75b7d558bfe02d72e94ff72711199b53ddd2a0fc74859053a92e2f00641aef",
     "tokenizer_trained.ckpt": "ff31f74aae2bb399c63d7028f28e4cfd16a21c0533e8d193ef46db7bf05ad35e",
     "dynamics_frame_trained.ckpt": "a3fd72128170a232172670075ebcb9ce7bdde2f4fc134fbdc93a52eea978aabb",
     "dynamics_token_trained.ckpt": "b24e6e446d9c1b7c374defc13cd1c61aae85adc747192c77ddd89cfd3195cf2a",

@@ -7,6 +7,7 @@ from framecast.verification import (
     MetricReport,
     ROCCurve,
     UndefinedMetricError,
+    _table,
     aggregate_over_seeds,
     assign_percentile_bins,
     auc,
@@ -60,6 +61,28 @@ def loop_contingency(pred, obs, tau):
         else:
             tn += 1
     return tp, fp, fn, tn
+
+
+def roc_points_sweep(scores, obs, tau_event, gammas):
+    """The reference sweep: one full-field contingency table per gamma, the
+    points sorted by (POFD, POD) and anchored at (0, 0) and (1, 1)."""
+    scores, events = np.asarray(scores, dtype=np.float64), np.asarray(obs) >= tau_event
+    pts = []
+    for gamma in gammas:
+        p = scores >= gamma
+        tp, fp = int(np.sum(p & events)), int(np.sum(p & ~events))
+        fn, tn = int(np.sum(~p & events)), int(np.sum(~p & ~events))
+        pts.append((fp / (fp + tn), tp / (tp + fn)))
+    pts.sort(key=lambda p: (p[0], p[1]))
+    return np.asarray([(0.0, 0.0)] + pts + [(1.0, 1.0)])
+
+
+def assert_matches_sweep(scores, obs, tau_event, gammas):
+    """Counted points and AUC equal the sweep's to the last bit."""
+    curve = roc_curve(scores, obs, tau_event, gammas)
+    want = roc_points_sweep(scores, obs, tau_event, gammas)
+    assert curve.points.tobytes() == want.tobytes()
+    assert auc(curve) == auc(ROCCurve(want))
 
 
 class TestContinuous:
@@ -133,6 +156,15 @@ class TestCategorical:
         table = contingency(p, o, tau=1.0)
         assert (table.tp, table.fp, table.fn, table.tn) == loop_contingency(p, o, 1.0)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (1,), (5, 7), (3, 4, 6)])
+    def test_table_matches_four_sums(self, shape):
+        rng = np.random.default_rng(12)
+        for density in (0.0, 0.3, 1.0):
+            p, o = rng.uniform(size=shape) < density, rng.uniform(size=shape) < 0.5
+            table = _table(p, o)
+            assert (table.tp, table.fp, table.fn, table.tn) == (
+                int(np.sum(p & o)), int(np.sum(p & ~o)), int(np.sum(~p & o)), int(np.sum(~p & ~o)))
+
     def test_contingency_counts_nonnegative(self):
         with pytest.raises(ValueError):
             ContingencyTable(tp=-1, fp=0, fn=0, tn=0)
@@ -195,6 +227,38 @@ class TestROC:
             got = {tuple(np.round(p, 12)) for p in curve.points[1:-1]}
             want = {tuple(np.round(p, 12)) for p in expected}
             assert got == want
+
+    def test_counting_matches_sweep_on_ties(self):
+        # scores and observations on a 0.5 grid, gammas on a 0.25 grid: every
+        # other gamma ties with scores, and default_gammas ties at 2.5 steps
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            obs = np.round(rng.uniform(0, 10, size=(6, 7)) * 2) / 2
+            scores = np.round(rng.uniform(0, 10, size=(6, 7)) * 2) / 2
+            scores.flat[0], obs.flat[:2] = 10.0, (10.0, 0.0)  # both reach 10, obs is two-class
+            for tau in (1.0, 2.5, 8.0):
+                assert_matches_sweep(scores, obs, tau, np.arange(0, 10.25, 0.25))
+                assert_matches_sweep(scores, obs, tau, default_gammas(scores, obs))
+
+    def test_counting_matches_sweep_on_odd_gammas(self):
+        rng = np.random.default_rng(14)
+        obs = rng.uniform(0, 2, size=(8, 8))
+        scores = np.round(rng.uniform(0, 2, size=(8, 8)) * 4) / 4
+        for gammas in ([1.5, 0.25, 1.0, 0.5], [1.0, 1.0, 0.5, 1.0, 0.5], [np.inf], [-np.inf],
+                       [np.inf, 0.75, -np.inf, np.inf], np.linspace(2, 0, 9)):
+            assert_matches_sweep(scores, obs, 1.0, gammas)
+
+    def test_counting_matches_sweep_with_nan(self):
+        rng = np.random.default_rng(15)
+        obs = rng.uniform(0, 2, size=(6, 6))
+        obs[0, :2] = np.nan  # a NaN observation is a non-event
+        scores = np.round(rng.uniform(0, 2, size=(6, 6)) * 2) / 2
+        scores[1:4, 2] = np.nan
+        scores[5, 5] = np.inf
+        scores[4, 4] = -np.inf
+        for gammas in ([0.5, 1.0], [np.nan], [1.5, np.nan, 0.0, np.nan], [-np.inf, np.nan, np.inf]):
+            assert_matches_sweep(scores, obs, 1.0, gammas)
+        assert_matches_sweep(np.full((6, 6), np.nan), obs, 1.0, [0.0, 1.0])
 
     def test_anchors_and_monotone_pofd(self):
         rng = np.random.default_rng(11)
